@@ -338,7 +338,11 @@ let bench_cmd =
           p.Api.description)
       Workload.Registry.all
   in
-  Cmd.v (Cmd.info "bench" ~doc:"List the 19-benchmark suite.") Term.(const action $ const ())
+  let doc =
+    Printf.sprintf "List the %d registry benchmarks: the paper suite and the KV service shapes."
+      (List.length Workload.Registry.all)
+  in
+  Cmd.v (Cmd.info "bench" ~doc) Term.(const action $ const ())
 
 (* --- litmus ----------------------------------------------------------- *)
 

@@ -8,6 +8,7 @@ type ops = {
   self_name : string;
   work : int -> unit;
   read : addr:int -> len:int -> Bytes.t;
+  read_into : addr:int -> Bytes.t -> unit;
   write : addr:int -> Bytes.t -> unit;
   read_int : addr:int -> int;
   write_int : addr:int -> int -> unit;

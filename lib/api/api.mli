@@ -24,6 +24,16 @@ type ops = {
   work : int -> unit;
       (** retire [n] user instructions of pure local computation *)
   read : addr:int -> len:int -> Bytes.t;
+  read_into : addr:int -> Bytes.t -> unit;
+      (** [read_into ~addr buf] fills all of [buf] with the
+          [Bytes.length buf] bytes at [addr]: the same view as
+          {!field-read} (under the versioned runtimes that includes the
+          thread's own uncommitted writes), with no allocation.  It is
+          charged exactly like [read ~addr ~len:(Bytes.length buf)] —
+          same retired instructions, same runtime-lock release on real
+          backends, same range check and exception — so swapping one
+          for the other never moves a simulated result.  Lets a loop
+          that rereads fixed-size regions reuse one scratch buffer. *)
   write : addr:int -> Bytes.t -> unit;
   read_int : addr:int -> int;
   write_int : addr:int -> int -> unit;

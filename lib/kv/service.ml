@@ -14,13 +14,19 @@
      region.
 
    - Phase B (after the intent barrier): every thread runs the same pure
-     arbitration ({!Validate.fold}) over all published intents in
-     (priority, batch) order — the commit order fixed by the round
-     structure of the deterministic logical clock — then applies its own
-     committed write sets (bumping each key's version word) and charges
-     validate/abort costs through the cost model.  Aborted transactions
-     back off deterministically and retry at the front of the next
-     round's batch.
+     arbitration over all published intents in (priority, batch) order —
+     the commit order fixed by the round structure of the deterministic
+     logical clock.  It streams the regions in priority order: each
+     peer's region is read into the worker's one scratch buffer
+     ({!Api.ops.read_into}, charged like a full-region read) and folded
+     at once into the worker's written-key marks
+     ({!Validate.fold_region}); its own region is folded from the bytes
+     it just published.  Only its own verdicts are kept, as a bitmask
+     over batch index, so a round allocates nothing per peer.  The
+     thread then applies its own committed write sets (bumping each
+     key's version word) and charges validate/abort costs through the
+     cost model.  Aborted transactions back off deterministically and
+     retry at the front of the next round's batch.
 
    Because the verdicts are a pure function of the published intents,
    transaction outcomes and abort/retry counts are byte-identical on
@@ -78,6 +84,11 @@ let worker ~shape ~nthreads ~requests ~(record : recorder) id (ops : A.ops) =
          (Traffic.gen shape ~tid:id ~requests))
   in
   let checksum = ref 0 and commits = ref 0 and aborts = ref 0 and remaining = ref requests in
+  (* Phase-B arbitration state, private to this worker: the key marks of
+     the streaming fold and the one buffer every peer region is read
+     into. *)
+  let written = Array.make Layout.n_keys false in
+  let scratch = Bytes.create Layout.intent_bytes in
   let read_val k = ops.A.read_int ~addr:(Layout.value_addr k) in
   let read_ver k = ops.A.read_int ~addr:(Layout.ver_addr k) in
   let all_done () =
@@ -156,21 +167,26 @@ let worker ~shape ~nthreads ~requests ~(record : recorder) id (ops : A.ops) =
           (fun (p, reads, _, _) -> { Intent.seq = p.txn.Txn.seq; reads; writes = p.txn.Txn.writes })
           attempts
       in
-      ops.A.write ~addr:(Layout.intent_addr id) (Intent.encode intents);
+      let published = Intent.encode intents in
+      ops.A.write ~addr:(Layout.intent_addr id) published;
       ops.A.barrier_wait b1;
       (* ---- phase B ---- *)
-      let all_intents =
-        Array.init nthreads (fun t ->
-            if t = id then intents
-            else Intent.decode (ops.A.read ~addr:(Layout.intent_addr t) ~len:Layout.intent_bytes))
-      in
-      let verdicts = Validate.fold ~round ~nthreads all_intents in
+      Array.fill written 0 Layout.n_keys false;
+      let verdicts = ref 0 in
+      for p = 0 to nthreads - 1 do
+        let t = Validate.tid_of_priority ~round ~nthreads p in
+        if t = id then verdicts := Validate.fold_region ~written published
+        else begin
+          ops.A.read_into ~addr:(Layout.intent_addr t) scratch;
+          ignore (Validate.fold_region ~written scratch)
+        end
+      done;
       let retry_rev = ref [] in
       List.iteri
         (fun bi (p, _, wvals, read_sum) ->
           let t = p.txn in
           ops.A.txn_validate ~keys:(Txn.entries t);
-          if verdicts.(id).(bi) then begin
+          if !verdicts land (1 lsl bi) <> 0 then begin
             List.iter
               (fun (k, v, ver) ->
                 ops.A.write_int ~addr:(Layout.value_addr k) v;

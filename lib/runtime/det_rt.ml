@@ -1528,6 +1528,10 @@ let rec make_ops rt th : Api.ops =
       (fun ~addr ~len ->
         consume rt th (mem_instr rt len);
         unlocked_mem rt th (fun () -> Vmem.Workspace.read th.ws ~addr ~len));
+    read_into =
+      (fun ~addr buf ->
+        consume rt th (mem_instr rt (Bytes.length buf));
+        unlocked_mem rt th (fun () -> Vmem.Workspace.read_into th.ws ~addr buf));
     write =
       (fun ~addr buf ->
         consume rt th (mem_instr rt (Bytes.length buf));

@@ -221,10 +221,17 @@ let touch rt ~addr ~len =
     Hashtbl.replace rt.touched p ()
   done
 
-let read rt th ~addr ~len =
+let read_into rt th ~addr buf =
+  let len = Bytes.length buf in
   check_range rt ~addr ~len;
   work rt th (mem_instr rt len);
-  Bytes.sub rt.mem addr len
+  Bytes.blit rt.mem addr buf 0 len
+
+let read rt th ~addr ~len =
+  check_range rt ~addr ~len;
+  let buf = Bytes.create len in
+  read_into rt th ~addr buf;
+  buf
 
 let write rt th ~addr buf =
   let len = Bytes.length buf in
@@ -371,6 +378,7 @@ let rec make_ops rt th : Api.ops =
     self_name = th.tname;
     work = (fun n -> work rt th n);
     read = (fun ~addr ~len -> read rt th ~addr ~len);
+    read_into = (fun ~addr buf -> read_into rt th ~addr buf);
     write = (fun ~addr buf -> write rt th ~addr buf);
     read_int = (fun ~addr -> read_int rt th ~addr);
     write_int = (fun ~addr v -> write_int rt th ~addr v);

@@ -81,6 +81,10 @@ val base : t -> Segment.version
 val read : t -> addr:int -> len:int -> Bytes.t
 (** Read [len] bytes at byte address [addr]; may span pages. *)
 
+val read_into : t -> addr:int -> Bytes.t -> unit
+(** [read_into t ~addr buf] fills [buf] with the [Bytes.length buf]
+    bytes at [addr] — {!read} without the allocation. *)
+
 val write : t -> addr:int -> Bytes.t -> unit
 (** Write the buffer at byte address [addr]; may span pages.  Faults in
     (and twins) every page touched for the first time this chunk. *)

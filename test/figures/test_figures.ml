@@ -7,8 +7,10 @@ let check_bool = Alcotest.(check bool)
 let quick_threads = [ 2; 4 ]
 
 let test_fig10_shape () =
-  let rows = Figures.Fig10.measure ~threads:quick_threads () in
-  check_int "25 rows" 25 (List.length rows);
+  let all_rows = Figures.Fig10.measure ~threads:quick_threads () in
+  let rows, kv_rows = List.partition Figures.Fig10.in_paper_set all_rows in
+  check_int "19 paper rows" 19 (List.length rows);
+  check_int "6 kv rows" 6 (List.length kv_rows);
   List.iter
     (fun row ->
       check_int "4 runtimes" 4 (List.length row.Figures.Fig10.ratios);
@@ -23,7 +25,15 @@ let test_fig10_output_renders () =
   let out = Figures.Fig10.run ~threads:quick_threads () in
   let rendered = Figures.Fig_output.render out in
   check_bool "has table" true (String.length rendered > 200);
-  check_int "3 notes" 3 (List.length out.Figures.Fig_output.notes)
+  check_int "3 notes" 3 (List.length out.Figures.Fig_output.notes);
+  check_int "paper and kv tables" 2 (List.length out.Figures.Fig_output.tables);
+  let mentions sub n =
+    let k = String.length sub in
+    let rec at i = i + k <= String.length n && (String.sub n i k = sub || at (i + 1)) in
+    at 0
+  in
+  check_bool "notes count the paper set" true
+    (List.exists (mentions " of 19 paper programs") out.Figures.Fig_output.notes)
 
 let test_fig11_shape () =
   let series = Figures.Fig11.measure ~threads:quick_threads () in

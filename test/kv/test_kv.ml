@@ -113,6 +113,95 @@ let test_fold_conflict_semantics () =
   check_bool "rotated: t1 commits" true v1.(1).(0);
   check_bool "rotated: t0 aborts" false v1.(0).(0)
 
+(* The streaming fold the service runs must agree with the list-based
+   reference: random rounds of up to [max_threads] threads with 0-4
+   transactions each, drawn from a small key range so read ranges
+   overlap and write keys collide, every region encoded over the image
+   of a longer earlier round so stale tail words sit behind the counts. *)
+let gen_round =
+  let open QCheck.Gen in
+  let hot_key = int_bound 15 in
+  let read_entry =
+    map3
+      (fun key len ver -> { Kv.Intent.key; len = 1 + len; ver })
+      hot_key (int_bound 7) (int_bound 0xFFFF)
+  in
+  let txn =
+    map3
+      (fun seq reads writes -> { Kv.Intent.seq; reads; writes })
+      (int_bound 0xFF)
+      (list_size (int_bound 3) read_entry)
+      (list_size (int_bound 3) hot_key)
+  in
+  let thread = pair (list_size (int_bound 4) txn) (list_size (return 4) txn) in
+  int_range 1 Kv.Layout.max_threads >>= fun nthreads ->
+  map2 (fun round threads -> (round, Array.of_list threads)) (int_bound 64)
+    (list_size (return nthreads) thread)
+
+let bitmask verdicts =
+  let m = ref 0 in
+  Array.iteri (fun bi commit -> if commit then m := !m lor (1 lsl bi)) verdicts;
+  !m
+
+let region_over ~stale intents =
+  let buf = Bytes.make Kv.Layout.intent_bytes '\000' in
+  let put l =
+    let b = Kv.Intent.encode l in
+    Bytes.blit b 0 buf 0 (Bytes.length b)
+  in
+  put stale;
+  put intents;
+  buf
+
+let prop_fold_region_matches_fold =
+  QCheck.Test.make ~name:"streaming fold_region matches fold" ~count:300
+    (QCheck.make gen_round)
+    (fun (round, threads) ->
+      let nthreads = Array.length threads in
+      let intents = Array.map fst threads in
+      let regions = Array.map (fun (cur, stale) -> region_over ~stale cur) threads in
+      let written = Array.make Kv.Layout.n_keys false in
+      let masks = Array.make nthreads (-1) in
+      for p = 0 to nthreads - 1 do
+        let t = Kv.Validate.tid_of_priority ~round ~nthreads p in
+        masks.(t) <- Kv.Validate.fold_region ~written regions.(t)
+      done;
+      Array.map bitmask (Kv.Validate.fold ~round ~nthreads intents) = masks)
+
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_fold_region_allocates_nothing () =
+  let r k = { Kv.Intent.key = k; len = 3; ver = 1 } in
+  let region =
+    region_over ~stale:[]
+      [
+        { Kv.Intent.seq = 1; reads = [ r 0; r 4 ]; writes = [ 1; 9 ] };
+        { Kv.Intent.seq = 2; reads = [ r 8 ]; writes = [ 2 ] };
+        { Kv.Intent.seq = 3; reads = [ r 20 ]; writes = [ 30 ] };
+      ]
+  in
+  let written = Array.make Kv.Layout.n_keys false in
+  let fold () =
+    Array.fill written 0 Kv.Layout.n_keys false;
+    check_int "verdicts" 0b101 (Kv.Validate.fold_region ~written region)
+  in
+  fold ();
+  let step () = ignore (Kv.Validate.fold_region ~written region) in
+  Alcotest.(check (float 0.0))
+    "minor words of a warmed call" (minor_words_during ignore) (minor_words_during step)
+
+let test_fold_region_rejects_oversized_batch () =
+  (* The verdicts are an int bitmask, so a region may not claim more
+     transactions than an int has bits. *)
+  let region = Bytes.make Kv.Layout.intent_bytes '\000' in
+  Bytes.set_int64_le region 0 (Int64.of_int (Sys.int_size + 1));
+  Alcotest.check_raises "too many transactions"
+    (Invalid_argument "Validate.fold_region: too many transactions") (fun () ->
+      ignore (Kv.Validate.fold_region ~written:(Array.make Kv.Layout.n_keys false) region))
+
 (* ------------------------------------------------------------------ *)
 (* Strict serializability (oracle)                                    *)
 (* ------------------------------------------------------------------ *)
@@ -349,6 +438,11 @@ let () =
           Alcotest.test_case "priority rotation bijective" `Quick
             test_priority_rotation_bijective;
           Alcotest.test_case "conflict semantics" `Quick test_fold_conflict_semantics;
+          QCheck_alcotest.to_alcotest prop_fold_region_matches_fold;
+          Alcotest.test_case "fold_region allocates nothing" `Quick
+            test_fold_region_allocates_nothing;
+          Alcotest.test_case "fold_region bitmask bound" `Quick
+            test_fold_region_rejects_oversized_batch;
         ] );
       ( "serializability",
         [

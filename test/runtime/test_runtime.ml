@@ -880,6 +880,68 @@ let test_domains_pipe_witness_identity () =
         (domains_witness ~cfg:pipe ~domains:2 ~seed:1 program))
     [ "histogram"; "word_count"; "dedup"; "barnes" ]
 
+(* --- read_into contract ------------------------------------------------- *)
+
+(* Each worker writes a page-straddling slot and reads it straight back
+   before any sync (its own uncommitted store), then after a barrier
+   reads a range spanning every slot, then attempts a read that runs
+   off the end of the heap.  [into] selects [read_into] over [read] for
+   all three; [own_ok] and [errors] collect what the reads saw. *)
+let reads_program ~into ~own_ok ~errors =
+  let page_size = 64 and heap_pages = 16 in
+  let get (w : Api.ops) ~addr ~len =
+    if into then begin
+      let buf = Bytes.create len in
+      w.Api.read_into ~addr buf;
+      buf
+    end
+    else w.Api.read ~addr ~len
+  in
+  Api.make ~name:"reads" ~heap_pages ~page_size (fun ~nthreads ops ->
+      ops.Api.barrier_init 0 nthreads;
+      let slot i = (i * 80) + 40 in
+      let workers =
+        List.init nthreads (fun i ->
+            ops.Api.spawn (fun w ->
+                let mine = Bytes.init 80 (fun k -> Char.chr (((i * 37) + k) land 255)) in
+                w.Api.work (100 + (i * 17));
+                w.Api.write ~addr:(slot i) mine;
+                if not (Bytes.equal (get w ~addr:(slot i) ~len:80) mine) then
+                  Atomic.set own_ok false;
+                w.Api.barrier_wait 0;
+                let all = get w ~addr:40 ~len:(80 * nthreads) in
+                w.Api.log_output (Printf.sprintf "t%d %s" i (Digest.to_hex (Digest.bytes all)));
+                match get w ~addr:((page_size * heap_pages) - 8) ~len:16 with
+                | _ -> w.Api.log_output "no error"
+                | exception Invalid_argument m ->
+                    if i = 0 then errors := m :: !errors;
+                    w.Api.log_output m))
+      in
+      List.iter ops.Api.join workers)
+
+(* [read_into] is charged and checked exactly like [read]: on every
+   preset the two variants of the same program agree on the full
+   witness and (except on real domains, whose wall time is real) on
+   wall_ns, see their own uncommitted writes, and raise the same
+   out-of-range error. *)
+let test_read_into_matches_read () =
+  List.iter
+    (fun name ->
+      let rt = Option.get (R.of_name name) in
+      let run into =
+        let own_ok = Atomic.make true and errors = ref [] in
+        let r = R.run rt ~seed:3 ~nthreads:4 (reads_program ~into ~own_ok ~errors) in
+        check_bool (Printf.sprintf "%s into=%b sees own writes" name into) true (Atomic.get own_ok);
+        (r, !errors)
+      in
+      let r_read, e_read = run false and r_into, e_into = run true in
+      check_string (name ^ " witness") (Res.deterministic_witness r_read)
+        (Res.deterministic_witness r_into);
+      if rt <> R.domains then check_int (name ^ " wall_ns") r_read.Res.wall_ns r_into.Res.wall_ns;
+      check_int (name ^ " one range error") 1 (List.length e_read);
+      Alcotest.(check (list string)) (name ^ " same range error") e_read e_into)
+    R.names
+
 (* --- Self-tuning controller (lib/tune) --------------------------------- *)
 
 let test_run_names_cover_presets () =
@@ -909,13 +971,15 @@ let tuned_runtimes params =
     ("domains", R.Domains (tuned Runtime.Config.consequence_ic));
   ]
 
-let decision_streams rt ~seed program =
+let decision_run rt ~seed program =
   let evs = ref [] in
   let observer ev =
     match ev with Runtime.Rt_event.Tune_decision _ -> evs := ev :: !evs | _ -> ()
   in
-  ignore (R.run rt ~seed ~nthreads:8 ~observer program);
-  Tune.Controller.of_events (List.rev !evs)
+  let r = R.run rt ~seed ~nthreads:8 ~observer program in
+  (r, Tune.Controller.of_events (List.rev !evs))
+
+let decision_streams rt ~seed program = snd (decision_run rt ~seed program)
 
 (* The acceptance property of the online controller: because decisions
    are a pure function of (params, epoch), every runtime backend — DES
@@ -942,18 +1006,58 @@ let check_controller_decisions_identical params bench =
         (List.tl streams))
     [ 1; 7 ]
 
+(* The exact form of the property, for any workload.  A decision applies
+   when its thread retires an instruction at-or-past the milestone, so
+   each thread's stream is the prediction cut at its own retired count.
+   That count legitimately differs between token-ordering disciplines —
+   under round-robin, queue items can go to other threads than under
+   instruction-count order — so only the consequence-ic family {ic, pipe,
+   domains} must also agree stream for stream. *)
+let check_controller_decisions_exact params bench =
+  let program = (Workload.Registry.find bench).Workload.Registry.program in
+  let predicted = Tune.Controller.predicted params in
+  List.iter
+    (fun seed ->
+      let streams =
+        List.map
+          (fun (label, rt) ->
+            let r, streams = decision_run rt ~seed program in
+            List.iter
+              (fun (ts : Res.thread_stat) ->
+                let want =
+                  List.filter (fun (a : Tune.Controller.applied) -> a.ic < ts.instructions) predicted
+                in
+                check_bool
+                  (Printf.sprintf "%s seed=%d %s tid %d = prediction below ic %d" bench seed label
+                     ts.tid ts.instructions)
+                  true
+                  (Option.value (List.assoc_opt ts.tid streams) ~default:[] = want))
+              r.Res.per_thread;
+            check_bool
+              (Printf.sprintf "%s seed=%d %s decisions only from known threads" bench seed label)
+              true
+              (List.for_all
+                 (fun (tid, _) -> List.exists (fun (ts : Res.thread_stat) -> ts.tid = tid) r.Res.per_thread)
+                 streams);
+            (label, streams))
+          (tuned_runtimes params)
+      in
+      List.iter
+        (fun label ->
+          check_bool
+            (Printf.sprintf "%s seed=%d %s decisions identical to ic" bench seed label)
+            true
+            (List.assoc label streams = List.assoc "ic" streams))
+        [ "pipe"; "domains" ])
+    [ 1; 7 ]
+
 let test_controller_decisions_identical_across_runtimes () =
   List.iter
     (check_controller_decisions_identical Runtime.Tune_ctl.default)
     [ "kmeans"; "histogram" ]
 
-let prop_controller_decisions_identical =
-  (* satellite: random registry workloads, both seeds, all five runtimes. *)
-  QCheck.Test.make ~name:"controller decisions identical across runtimes" ~count:4
-    (QCheck.make (QCheck.Gen.oneofl Workload.Registry.names))
-    (fun bench ->
-      check_controller_decisions_identical Runtime.Tune_ctl.default bench;
-      true)
+let test_controller_decisions_exact_every_workload () =
+  List.iter (check_controller_decisions_exact Runtime.Tune_ctl.default) Workload.Registry.names
 
 (* Value-determinism with the controller enabled, mirroring the
    pipelined-commit on/off matrix: per-runtime witnesses are seed-stable,
@@ -1024,6 +1128,7 @@ let () =
           Alcotest.test_case "config preset invariants" `Quick test_config_presets_invariants;
           Alcotest.test_case "single global lock aliases" `Quick test_single_global_lock_aliases;
           Alcotest.test_case "breakdown bounded" `Quick test_breakdown_covers_wall_time;
+          Alcotest.test_case "read_into charged like read" `Quick test_read_into_matches_read;
         ] );
       ( "determinism",
         [
@@ -1088,7 +1193,8 @@ let () =
             test_run_names_cover_presets;
           Alcotest.test_case "decisions identical across five runtimes" `Quick
             test_controller_decisions_identical_across_runtimes;
-          QCheck_alcotest.to_alcotest prop_controller_decisions_identical;
+          Alcotest.test_case "controller decisions identical across runtimes" `Quick
+            test_controller_decisions_exact_every_workload;
           Alcotest.test_case "tuned witness matrix" `Quick test_tuned_witness_matrix;
         ] );
       ( "domains",
