@@ -5,7 +5,8 @@
     writes locally, serving snapshot reads copy-free from version
     histories at a pinned version), publishes its read/write intents,
     and — after the round barrier — every thread runs the same pure
-    arbitration ({!Validate.fold}) in the commit order fixed by the
+    arbitration ({!Validate.fold_region}, streamed over every thread's
+    region) in the commit order fixed by the
     round structure.  Verdicts are a pure function of published intents,
     so transaction outcomes and abort/retry counts are byte-identical
     across all runtimes and seeds; snapshot transactions never abort by
