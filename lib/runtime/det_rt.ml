@@ -188,18 +188,7 @@ and metric_handles = {
   mh_update_ns : Obs.Metrics.histogram;
   mh_lock_wait_ns : Obs.Metrics.histogram;
   mh_barrier_wait_ns : Obs.Metrics.histogram;
-  mh_op_lock : Obs.Metrics.counter;
-  mh_op_unlock : Obs.Metrics.counter;
-  mh_op_commit : Obs.Metrics.counter;
-  mh_op_spawn : Obs.Metrics.counter;
-  mh_op_join : Obs.Metrics.counter;
-  mh_op_exit : Obs.Metrics.counter;
-  mh_op_cond_wait : Obs.Metrics.counter;
-  mh_op_barrier : Obs.Metrics.counter;
-  mh_op_atomic : Obs.Metrics.counter;
-  mh_op_signal : Obs.Metrics.counter;
-  mh_op_broadcast : Obs.Metrics.counter;
-  mh_op_forced_commit : Obs.Metrics.counter;
+  mh_ops : Sync_label.counters;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -247,24 +236,7 @@ let fold_threads rt f init =
   done;
   !acc
 
-(* Sync-op labels for small ids are interned: the common case allocates
-   neither the string_of_int nor the concatenation on every operation.
-   The strings are identical to the dynamic path, so trace hashes are
-   unchanged. *)
-let n_interned = 64
-let interned_lock = Array.init n_interned (fun i -> "lock:" ^ string_of_int i)
-let interned_unlock = Array.init n_interned (fun i -> "unlock:" ^ string_of_int i)
-let interned_tname = Array.init n_interned (fun i -> "t" ^ string_of_int i)
-
-let lock_label mid =
-  if mid >= 0 && mid < n_interned then interned_lock.(mid)
-  else "lock:" ^ string_of_int mid
-
-let unlock_label mid =
-  if mid >= 0 && mid < n_interned then interned_unlock.(mid)
-  else "unlock:" ^ string_of_int mid
-
-(* [op] is the operation-family counter for the label (op_lock for
+(* [op] is the operation-family counter for the label ([ops.lock] for
    "lock:3"), passed as an interned handle so the hot path neither scans
    the label nor hashes a key string. *)
 (* CONSEQ_DEBUG_SYNC=1 prints every sync record with its clock state —
@@ -695,7 +667,7 @@ let charge_commit rt th (ci : Vmem.Workspace.commit_info) =
         ~tid:th.tid ~t0
         ~args:[ ("pages", ci.pages_committed); ("merged", ci.pages_merged) ]
         ();
-    record_sync rt th ~op:rt.mh.mh_op_commit ("commit:" ^ string_of_int ci.version);
+    record_sync rt th ~op:rt.mh.mh_ops.commit ("commit:" ^ string_of_int ci.version);
     emit_conflicts rt th ci;
     if emitting rt then begin
       emit rt (Rt_event.Commit { tid = th.tid; version = ci.version; pages = ci.committed_pages });
@@ -1077,7 +1049,7 @@ let rec consume rt th n =
     | Some limit when th.since_commit >= limit && not th.coarsen_holding ->
         enter_coordination rt th;
         commit_and_update rt th;
-        record_sync rt th ~op:rt.mh.mh_op_forced_commit "forced-commit";
+        record_sync rt th ~op:rt.mh.mh_ops.forced_commit "forced-commit";
         leave_coordination rt th
     | Some _ | None -> ());
     consume rt th (n - step)
@@ -1204,7 +1176,7 @@ let rec mutex_lock rt th mid =
       m.held_by <- Some th.tid;
       measure_cs_enter th m;
       th.coarsen_ops <- th.coarsen_ops + 1;
-      record_sync rt th ~op:rt.mh.mh_op_lock (lock_label mid);
+      record_sync rt th ~op:rt.mh.mh_ops.lock (Sync_label.lock mid);
       if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_mutex mid });
       counter_read rt th
     end
@@ -1224,7 +1196,7 @@ and mutex_lock_slow rt th mid =
     if m.held_by = None then begin
       m.held_by <- Some th.tid;
       commit_and_update rt th;
-      record_sync rt th ~op:rt.mh.mh_op_lock (lock_label mid);
+      record_sync rt th ~op:rt.mh.mh_ops.lock (Sync_label.lock mid);
       if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_mutex mid });
       measure_cs_enter th m;
       acquired := true;
@@ -1258,7 +1230,7 @@ and mutex_lock_slow rt th mid =
           Queue.push th.tid m.lock_waitq;
           release_global rt th;
           park rt th ~state:St.Lock_wait
-            ~reason:(Printf.sprintf "lock:%d" mid)
+            ~reason:(Sync_label.lock mid)
             ~ready:(fun () -> th.lock_grant)
     end
   done
@@ -1295,7 +1267,7 @@ let mutex_unlock rt th mid =
   if th.coarsen_holding then begin
     settle_post_unlock rt th;
     release_mutex rt ~waker:th m;
-    record_sync rt th ~op:rt.mh.mh_op_unlock (unlock_label mid);
+    record_sync rt th ~op:rt.mh.mh_ops.unlock (Sync_label.unlock mid);
     emit_release rt th (Rt_event.obj_mutex mid);
     th.coarsen_ops <- th.coarsen_ops + 1;
     charge rt th St.Runtime rt.costs.Cost_model.sync_op_base_ns;
@@ -1308,7 +1280,7 @@ let mutex_unlock rt th mid =
     enter_coordination rt th;
     release_mutex rt ~waker:th m;
     commit_and_update rt th;
-    record_sync rt th ~op:rt.mh.mh_op_unlock (unlock_label mid);
+    record_sync rt th ~op:rt.mh.mh_ops.unlock (Sync_label.unlock mid);
     emit_release rt th (Rt_event.obj_mutex mid);
     if coarsen_decision rt th ~estimate:post_estimate then begin_coarsen rt th
     else leave_coordination rt th;
@@ -1324,7 +1296,7 @@ let cond_wait rt th cid mid =
   update_cs_ewma rt th m;
   release_mutex rt ~waker:th m;
   commit_and_update rt th;
-  record_sync rt th ~op:rt.mh.mh_op_cond_wait ("cond_wait:" ^ string_of_int cid);
+  record_sync rt th ~op:rt.mh.mh_ops.cond_wait ("cond_wait:" ^ string_of_int cid);
   emit_release rt th (Rt_event.obj_mutex mid);
   th.cond_grant <- false;
   Queue.push th.tid c.cond_waitq;
@@ -1346,7 +1318,7 @@ let rec cond_signal rt th cid ~broadcast =
        accompanying commit may be coalesced like any other under TSO, so
        the op need not end the coarsened chunk. *)
     record_sync rt th
-    ~op:(if broadcast then rt.mh.mh_op_broadcast else rt.mh.mh_op_signal)
+    ~op:(if broadcast then rt.mh.mh_ops.broadcast else rt.mh.mh_ops.signal)
     ((if broadcast then "broadcast:" else "signal:") ^ string_of_int cid);
     th.coarsen_ops <- th.coarsen_ops + 1;
     charge rt th St.Runtime rt.costs.Cost_model.sync_op_base_ns
@@ -1368,7 +1340,7 @@ and cond_signal_slow rt th cid ~broadcast =
   grant_one ();
   commit_and_update rt th;
   record_sync rt th
-    ~op:(if broadcast then rt.mh.mh_op_broadcast else rt.mh.mh_op_signal)
+    ~op:(if broadcast then rt.mh.mh_ops.broadcast else rt.mh.mh_ops.signal)
     ((if broadcast then "broadcast:" else "signal:") ^ string_of_int cid);
   emit_release rt th (Rt_event.obj_cond cid);
   leave_coordination rt th
@@ -1407,7 +1379,7 @@ let barrier_wait rt th bid =
            ~tid:th.tid ~t0
            ~args:[ ("pages", ci.Vmem.Workspace.pages_committed) ]
            ();
-       record_sync rt th ~op:rt.mh.mh_op_commit ("commit:" ^ string_of_int ci.Vmem.Workspace.version);
+       record_sync rt th ~op:rt.mh.mh_ops.commit ("commit:" ^ string_of_int ci.Vmem.Workspace.version);
        emit_conflicts rt th ci;
        if emitting rt then begin
          emit rt
@@ -1432,7 +1404,7 @@ let barrier_wait rt th bid =
      stamp_commit rt th ci;
      charge_commit rt th ci);
   th.since_commit <- 0;
-  record_sync rt th ~op:rt.mh.mh_op_barrier ("barrier:" ^ string_of_int bid);
+  record_sync rt th ~op:rt.mh.mh_ops.barrier ("barrier:" ^ string_of_int bid);
   emit_release rt th (Rt_event.obj_barrier bid);
   b.arrived_tids <- th.tid :: b.arrived_tids;
   let last = List.length b.arrived_tids = b.parties in
@@ -1511,7 +1483,7 @@ let atomic_fetch_add rt th ~addr delta =
   charge_commit rt th ci;
   let ui = ws_update rt th in
   charge_update rt th ui;
-  record_sync rt th ~op:rt.mh.mh_op_atomic ("atomic:" ^ string_of_int addr);
+  record_sync rt th ~op:rt.mh.mh_ops.atomic ("atomic:" ^ string_of_int addr);
   leave_coordination rt th;
   v
 
@@ -1656,7 +1628,7 @@ and new_thread_state rt ~tid ~name ~inherit_count =
 and thread_exit rt th =
   enter_coordination rt th;
   commit_and_update rt th;
-  record_sync rt th ~op:rt.mh.mh_op_exit "exit";
+  record_sync rt th ~op:rt.mh.mh_ops.exit "exit";
   emit_release rt th (Rt_event.obj_thread th.tid ^ ":exit");
   th.exited <- true;
   if rt.cfg.thread_pool then rt.pool_size <- rt.pool_size + 1;
@@ -1690,13 +1662,7 @@ and spawn_thread rt th ?name body =
   commit_and_update rt th;
   let child_tid = rt.next_tid in
   rt.next_tid <- child_tid + 1;
-  let name =
-    match name with
-    | Some n -> n
-    | None ->
-        if child_tid < n_interned then interned_tname.(child_tid)
-        else "t" ^ string_of_int child_tid
-  in
+  let name = match name with Some n -> n | None -> Sync_label.thread_name child_tid in
   (* Thread-pool reuse (section 3.3) versus a full fork that copies every
      populated page-table entry of the Conversion segment. *)
   (if rt.cfg.thread_pool && rt.pool_size > 0 then begin
@@ -1721,7 +1687,7 @@ and spawn_thread rt th ?name body =
         thread_exit rt child)
   in
   assert (fiber_id = child_tid);
-  record_sync rt th ~op:rt.mh.mh_op_spawn ("spawn:" ^ string_of_int child_tid);
+  record_sync rt th ~op:rt.mh.mh_ops.spawn ("spawn:" ^ string_of_int child_tid);
   if tracing rt then
     span rt ~cat:Obs.Span.Fork
       ~name:(Printf.sprintf "spawn:%d" child_tid)
@@ -1757,7 +1723,7 @@ and join_thread rt th target_tid =
      child's final commits. *)
   enter_coordination rt th;
   commit_and_update rt th;
-  record_sync rt th ~op:rt.mh.mh_op_join ("join:" ^ string_of_int target_tid);
+  record_sync rt th ~op:rt.mh.mh_ops.join ("join:" ^ string_of_int target_tid);
   if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_thread target_tid ^ ":exit" });
   if tracing rt then
     span rt ~cat:Obs.Span.Join
@@ -1835,18 +1801,7 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
           mh_update_ns = Obs.Metrics.histogram metrics "update_ns";
           mh_lock_wait_ns = Obs.Metrics.histogram metrics "lock_wait_ns";
           mh_barrier_wait_ns = Obs.Metrics.histogram metrics "barrier_wait_ns";
-          mh_op_lock = Obs.Metrics.counter metrics "op:lock";
-          mh_op_unlock = Obs.Metrics.counter metrics "op:unlock";
-          mh_op_commit = Obs.Metrics.counter metrics "op:commit";
-          mh_op_spawn = Obs.Metrics.counter metrics "op:spawn";
-          mh_op_join = Obs.Metrics.counter metrics "op:join";
-          mh_op_exit = Obs.Metrics.counter metrics "op:exit";
-          mh_op_cond_wait = Obs.Metrics.counter metrics "op:cond_wait";
-          mh_op_barrier = Obs.Metrics.counter metrics "op:barrier";
-          mh_op_atomic = Obs.Metrics.counter metrics "op:atomic";
-          mh_op_signal = Obs.Metrics.counter metrics "op:signal";
-          mh_op_broadcast = Obs.Metrics.counter metrics "op:broadcast";
-          mh_op_forced_commit = Obs.Metrics.counter metrics "op:forced-commit";
+          mh_ops = Sync_label.counters metrics;
         };
       mh_shard_commit_ns =
         (if nshards <= 1 then [||]

@@ -46,6 +46,7 @@ type t = {
   mutable sync_ops : int;
   obs : Obs.Sink.t;
   metrics : Obs.Metrics.t;
+  ops : Sync_label.counters;
   observer : Rt_event.observer option;
   shadow : (int, int array) Hashtbl.t;
       (* page -> last writer per 8-byte word, packed [(epoch lsl 20) lor
@@ -81,14 +82,10 @@ let charge rt th st ns =
         { Obs.Thread_state.stid = th.tid; state = st; t0; t1 = t0 + ns; chunk = 0; waker = -1 }
   end
 
-let label_family label =
-  match String.index_opt label ':' with
-  | Some i -> String.sub label 0 i
-  | None -> label
-
-let record_sync rt th label =
+(* [op] is the label's family counter ([ops.lock] for "lock:3"). *)
+let record_sync rt th ~op label =
   rt.sync_ops <- rt.sync_ops + 1;
-  Obs.Metrics.incr rt.metrics ("op:" ^ label_family label);
+  Obs.Metrics.count op 1;
   Sim.Trace.record rt.sync_trace ~time:(Sim.Engine.now rt.eng) ~tid:th.tid ~label
 
 (* Wait instrumentation shared by lock / cond / barrier / join blocking
@@ -276,13 +273,13 @@ let mutex_lock rt th mid =
     Queue.push th.tid m.waitq;
     let t0 = Sim.Engine.now rt.eng in
     while not th.lock_grant do
-      Sim.Engine.block rt.eng ~reason:(Printf.sprintf "lock:%d" mid)
+      Sim.Engine.block rt.eng ~reason:(Sync_label.lock mid)
     done;
     charge_wait rt th ~state:St.Lock_wait ~scat:Obs.Span.Lock_wait ~key:"lock_wait_ns"
-      ~name:(Printf.sprintf "lock:%d" mid) ~t0;
+      ~name:(Sync_label.lock mid) ~t0;
     m.held_by <- Some th.tid
   end;
-  record_sync rt th (Printf.sprintf "lock:%d" mid);
+  record_sync rt th ~op:rt.ops.lock (Sync_label.lock mid);
   emit_acquire rt th (Rt_event.obj_mutex mid)
 
 let mutex_unlock rt th mid =
@@ -300,12 +297,12 @@ let mutex_unlock rt th mid =
     Sim.Engine.wakeup rt.eng next;
     charge rt th St.Runtime rt.costs.Cost_model.wake_ns
   end;
-  record_sync rt th (Printf.sprintf "unlock:%d" mid)
+  record_sync rt th ~op:rt.ops.unlock (Sync_label.unlock mid)
 
 let cond_wait rt th cid mid =
   let c = cond_of rt cid in
   charge rt th St.Runtime rt.costs.Cost_model.pthread_cond_ns;
-  record_sync rt th (Printf.sprintf "cond_wait:%d" cid);
+  record_sync rt th ~op:rt.ops.cond_wait ("cond_wait:" ^ string_of_int cid);
   (* Enqueue before releasing the mutex: wait+release must be atomic or a
      signal between them is lost (the unlock yields the simulated CPU). *)
   th.cond_grant <- false;
@@ -313,10 +310,10 @@ let cond_wait rt th cid mid =
   mutex_unlock rt th mid;
   let t0 = Sim.Engine.now rt.eng in
   while not th.cond_grant do
-    Sim.Engine.block rt.eng ~reason:(Printf.sprintf "cond:%d" cid)
+    Sim.Engine.block rt.eng ~reason:("cond:" ^ string_of_int cid)
   done;
   charge_wait rt th ~state:St.Lock_wait ~scat:Obs.Span.Lock_wait ~key:"lock_wait_ns"
-    ~name:(Printf.sprintf "cond:%d" cid) ~t0;
+    ~name:("cond:" ^ string_of_int cid) ~t0;
   emit_acquire rt th (Rt_event.obj_cond cid);
   mutex_lock rt th mid
 
@@ -335,7 +332,9 @@ let cond_signal rt th cid ~broadcast =
     end
   in
   grant_one ();
-  record_sync rt th (Printf.sprintf "%s:%d" (if broadcast then "broadcast" else "signal") cid);
+  record_sync rt th
+    ~op:(if broadcast then rt.ops.broadcast else rt.ops.signal)
+    ((if broadcast then "broadcast:" else "signal:") ^ string_of_int cid);
   emit_release rt th (Rt_event.obj_cond cid)
 
 let barrier_init _rt _th b parties =
@@ -346,7 +345,7 @@ let barrier_wait rt th bid =
   let b = barrier_of rt bid in
   if b.parties = 0 then invalid_arg (Printf.sprintf "barrier %d: not initialized" bid);
   charge rt th St.Runtime rt.costs.Cost_model.pthread_barrier_ns;
-  record_sync rt th (Printf.sprintf "barrier:%d" bid);
+  record_sync rt th ~op:rt.ops.barrier ("barrier:" ^ string_of_int bid);
   emit_release rt th (Rt_event.obj_barrier bid);
   b.arrived_tids <- th.tid :: b.arrived_tids;
   if List.length b.arrived_tids = b.parties then begin
@@ -363,11 +362,11 @@ let barrier_wait rt th bid =
     let gen = b.generation in
     let t0 = Sim.Engine.now rt.eng in
     while b.generation = gen do
-      Sim.Engine.block rt.eng ~reason:(Printf.sprintf "barrier:%d" bid)
+      Sim.Engine.block rt.eng ~reason:("barrier:" ^ string_of_int bid)
     done;
     charge_wait rt th ~state:St.Barrier_wait ~scat:Obs.Span.Barrier_wait
       ~key:"barrier_wait_ns"
-      ~name:(Printf.sprintf "barrier:%d" bid)
+      ~name:("barrier:" ^ string_of_int bid)
       ~t0
   end;
   emit_acquire rt th (Rt_event.obj_barrier bid)
@@ -435,7 +434,7 @@ and new_thread_state rt ~tid ~tname =
   }
 
 and thread_exit rt th =
-  record_sync rt th "exit";
+  record_sync rt th ~op:rt.ops.exit "exit";
   emit_release rt th (Rt_event.obj_thread th.tid ^ ":exit");
   th.exited <- true;
   match th.joiner with
@@ -450,7 +449,7 @@ and spawn_thread rt th ?name body =
   charge rt th St.Fork rt.costs.Cost_model.pthread_spawn_ns;
   let child_tid = rt.next_tid in
   rt.next_tid <- child_tid + 1;
-  let tname = match name with Some n -> n | None -> Printf.sprintf "t%d" child_tid in
+  let tname = match name with Some n -> n | None -> Sync_label.thread_name child_tid in
   let child = new_thread_state rt ~tid:child_tid ~tname in
   Hashtbl.replace rt.threads child_tid child;
   emit_release rt th (Rt_event.obj_thread child_tid);
@@ -461,7 +460,7 @@ and spawn_thread rt th ?name body =
         thread_exit rt child)
   in
   assert (fiber_id = child_tid);
-  record_sync rt th (Printf.sprintf "spawn:%d" child_tid);
+  record_sync rt th ~op:rt.ops.spawn ("spawn:" ^ string_of_int child_tid);
   child_tid
 
 and join_thread rt th target_tid =
@@ -477,19 +476,20 @@ and join_thread rt th target_tid =
     th.join_grant <- false;
     let t0 = Sim.Engine.now rt.eng in
     while not th.join_grant do
-      Sim.Engine.block rt.eng ~reason:(Printf.sprintf "join:%d" target_tid)
+      Sim.Engine.block rt.eng ~reason:("join:" ^ string_of_int target_tid)
     done;
     charge_wait rt th ~state:St.Lock_wait ~scat:Obs.Span.Lock_wait ~key:"lock_wait_ns"
-      ~name:(Printf.sprintf "join:%d" target_tid)
+      ~name:("join:" ^ string_of_int target_tid)
       ~t0
   end;
-  record_sync rt th (Printf.sprintf "join:%d" target_tid);
+  record_sync rt th ~op:rt.ops.join ("join:" ^ string_of_int target_tid);
   emit_acquire rt th (Rt_event.obj_thread target_tid ^ ":exit")
 
 let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Obs.Sink.null)
     (program : Api.t) =
   let nthreads = match nthreads with Some n -> n | None -> program.Api.default_threads in
   let eng = Sim.Engine.create ~seed () in
+  let metrics = Obs.Metrics.create () in
   let rt =
     {
       costs;
@@ -506,7 +506,8 @@ let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Ob
       next_tid = 1;
       sync_ops = 0;
       obs;
-      metrics = Obs.Metrics.create ();
+      metrics;
+      ops = Sync_label.counters metrics;
       observer;
       shadow = Hashtbl.create 64;
     }

@@ -92,7 +92,8 @@ val versions_created : t -> int
 
 val touched_pages : t -> int
 (** Pages ever written by any commit — the "populated page-table entries"
-    a process fork must copy (paper section 3.3). *)
+    a process fork must copy (paper section 3.3).  O(1): a counter kept
+    by {!commit}. *)
 
 val live_snapshots : t -> int
 (** Committed page snapshots currently retained (excludes the shared
@@ -100,13 +101,24 @@ val live_snapshots : t -> int
     footprint; it grows until {!gc} reclaims obsolete snapshots. *)
 
 val gc : t -> min_base:version -> budget:int -> int
-(** Reclaim up to [budget] obsolete snapshots and return how many were
-    reclaimed.  A snapshot of page [p] at version [v] is obsolete when a
-    newer snapshot of [p] exists at some version [<= min_base], where
-    [min_base] is the oldest version any live workspace still reads.
+(** Reclaim obsolete snapshots page by page until at least [budget] are
+    reclaimed, and return how many were.  A snapshot of page [p] at
+    version [v] is obsolete when a newer snapshot of [p] exists at some
+    version [<= min_base], where [min_base] is the oldest version any
+    live workspace still reads.  The page that reaches the budget is
+    collected whole, so the result can exceed [budget] by up to that
+    page's obsolete count less one; [budget <= 0] reclaims nothing.
     The [budget] models Conversion's single-threaded garbage collector,
     which can be outpaced by allocation-heavy programs (paper section 5,
-    Fig 12: canneal, lu_ncb). *)
+    Fig 12: canneal, lu_ncb).
+
+    Pages are visited in cyclic order from a cursor that persists across
+    calls; it moves one past the page that reached the budget, and stays
+    put when a full circle ends under budget.  Only pages holding at
+    least two live snapshots are visited (a flag kept by {!commit} and
+    cleared when collection leaves fewer), so a call costs
+    O(pages / [Sys.int_size]) to find them plus the work on those pages,
+    and allocates nothing. *)
 
 val gc_step : t -> min_base:version -> max_pages:int -> int
 (** One step of the incremental per-shard collector: scan at most
