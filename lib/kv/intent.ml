@@ -2,22 +2,29 @@
    {!Layout.intent_addr}), one 8-byte little-endian word per entry:
 
      word 0            ntxns in this round
-     per transaction:  header  = seq*2^16 + nreads*2^8 + nwrites
-                       read i  = ver*2^16 + key*2^8 + len   (ver mod 2^16)
-                       write i = key
+     per transaction:  header   = seq*2^16 + nreads*2^8 + nwrites
+                       read_sum   (over the round-start snapshot)
+                       read i   = key*2^16 + len
+                       write i  = key, round-start value, round-start version
 
    Counts drive parsing, so stale words from earlier (longer) rounds are
-   ignored.  The recorded read versions are the TL2 read-set stamps; the
-   validation fold never needs to re-read them from memory because a
-   version word can only have been bumped this round by an
-   earlier-ordered committed write — which is exactly the write-set
-   marking {!Validate.fold_region} performs. *)
+   ignored.  A region carries everything phase B needs to re-execute
+   its transactions at their place in the round's commit order: the
+   read sum is corrected by the round's earlier writes to the read
+   ranges, and the new values follow from {!Txn.new_value} — so phase B
+   never reads a store word. *)
 
-type read_entry = { key : int; len : int; ver : int }
-type txn_intent = { seq : int; reads : read_entry list; writes : int list }
+type write_entry = { key : int; start : int; start_ver : int }
+type txn_intent = { seq : int; read_sum : int; reads : (int * int) list; writes : write_entry list }
+
+let write_words = 3
 
 let words_for txns =
-  1 + List.fold_left (fun acc (t : txn_intent) -> acc + 1 + List.length t.reads + List.length t.writes) 0 txns
+  1
+  + List.fold_left
+      (fun acc (t : txn_intent) ->
+        acc + 2 + List.length t.reads + (write_words * List.length t.writes))
+      0 txns
 
 let encode txns =
   let nwords = words_for txns in
@@ -32,19 +39,27 @@ let encode txns =
     (fun t ->
       let nr = List.length t.reads and nw = List.length t.writes in
       put ((t.seq * 65536) + (nr * 256) + nw);
-      List.iter (fun r -> put (((r.ver land 0xFFFF) * 65536) + (r.key * 256) + r.len)) t.reads;
-      List.iter put t.writes)
+      put t.read_sum;
+      List.iter (fun (key, len) -> put ((key * 65536) + len)) t.reads;
+      List.iter
+        (fun w ->
+          put w.key;
+          put w.start;
+          put w.start_ver)
+        t.writes)
     txns;
   buf
 
 let word buf i = Int64.to_int (Bytes.get_int64_le buf (i * 8))
 let txn_count buf = word buf 0
 let first_txn = 1
-let reads_at txn = txn + 1
+let seq buf txn = word buf txn / 65536
+let read_sum buf txn = word buf (txn + 1)
+let reads_at txn = txn + 2
 let writes_at buf txn = reads_at txn + (word buf txn / 256 mod 256)
-let next_txn buf txn = writes_at buf txn + (word buf txn mod 256)
-let read_key e = e / 256 mod 256
-let read_len e = e mod 256
+let next_txn buf txn = writes_at buf txn + (write_words * (word buf txn mod 256))
+let read_key e = e / 65536
+let read_len e = e mod 65536
 
 let decode buf =
   let txn = ref first_txn in
@@ -52,9 +67,17 @@ let decode buf =
       let t = !txn in
       let reads = reads_at t and writes = writes_at buf t in
       txn := next_txn buf t;
-      { seq = word buf t / 65536;
+      {
+        seq = seq buf t;
+        read_sum = read_sum buf t;
         reads =
           List.init (writes - reads) (fun i ->
               let e = word buf (reads + i) in
-              { ver = e / 65536; key = read_key e; len = read_len e });
-        writes = List.init (!txn - writes) (fun i -> word buf (writes + i)) })
+              (read_key e, read_len e));
+        writes =
+          List.init
+            ((!txn - writes) / write_words)
+            (fun i ->
+              let w = writes + (write_words * i) in
+              { key = word buf w; start = word buf (w + 1); start_ver = word buf (w + 2) });
+      })

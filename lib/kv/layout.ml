@@ -9,8 +9,8 @@
 let page_size = 256
 let n_keys = 256
 
-(* 8-byte value followed by an 8-byte version word (the TL2 lock/clock
-   word of the ordered-STM design: bumped once per committed write). *)
+(* 8-byte value followed by an 8-byte version word (counts the
+   committed writes to the key). *)
 let key_bytes = 16
 let value_addr k = k * key_bytes
 let ver_addr k = (k * key_bytes) + 8
@@ -24,11 +24,12 @@ let status_addr page tid = (page * page_size) + (tid * 8)
 let remaining_addr tid = status_addr data_pages tid
 let checksum_addr tid = status_addr (data_pages + 1) tid
 let commits_addr tid = status_addr (data_pages + 2) tid
-let aborts_addr tid = status_addr (data_pages + 3) tid
+let reexecs_addr tid = status_addr (data_pages + 3) tid
 
-(* Per-thread intent region: the published read/write key sets every
-   thread validates against in phase B.  8 pages = 256 words, far above
-   the worst-case round footprint. *)
+(* Per-thread intent region: the round's published intents every thread
+   folds in phase B.  8 pages = 256 words, above the worst-case round
+   footprint of 137 words ([Service.batch] updates of [Txn.max_reads]
+   ranges and [Txn.max_writes] keys). *)
 let intent_pages = 8
 let intent_base_page = data_pages + 4
 let intent_addr tid = (intent_base_page + (tid * intent_pages)) * page_size

@@ -15,20 +15,20 @@ val value_addr : int -> int
 (** Byte address of key [k]'s 8-byte value. *)
 
 val ver_addr : int -> int
-(** Byte address of key [k]'s version word (bumped once per committed
-    write; the read-set version of the ordered-TL2 validation). *)
+(** Byte address of key [k]'s version word (counts the committed
+    writes to the key). *)
 
 val data_pages : int
 val max_threads : int
 
 val remaining_addr : int -> int
-(** Requests (including retries) thread [tid] still has to serve;
+(** Requests thread [tid] still has to serve;
     written by the owner each round, read by all threads to decide
     termination. *)
 
 val checksum_addr : int -> int
 val commits_addr : int -> int
-val aborts_addr : int -> int
+val reexecs_addr : int -> int
 
 val intent_addr : int -> int
 (** Start of thread [tid]'s page-aligned intent region. *)

@@ -1,35 +1,41 @@
 (* The deterministic transactional KV service: per-thread request
-   batching over a round-structured ordered-OCC protocol.
+   batching over a round-structured ordered protocol in which every
+   update commits in the round it was submitted.
 
    Each round has two phases separated by barriers:
 
    - Phase A (concurrent, isolated): every server thread executes its
-     batch — retries first — against the round-start snapshot.  Update
-     transactions read values and version stamps through the workspace
-     and buffer their writes locally (nothing uncommitted ever reaches
-     shared memory); snapshot transactions pin the thread's base version
-     and are served copy-free from the segment's version histories —
-     they complete within phase A and can never abort.  The thread then
-     publishes its read/write intents into its own page-aligned intent
-     region.
+     batch against the round-start snapshot.  Update transactions read
+     their read set and the round-start value and version of every key
+     they write, and buffer nothing in shared memory; snapshot
+     transactions pin the thread's base version and are served
+     copy-free from the segment's version histories, completing within
+     phase A.  The thread then publishes, per update, its read sum, read
+     ranges and the round-start value and version of each written key
+     into its own page-aligned intent region ({!Intent}), writing only
+     the words the round uses.
 
-   - Phase B (after the intent barrier): every thread runs the same pure
-     arbitration over all published intents in (priority, batch) order —
-     the commit order fixed by the round structure of the deterministic
-     logical clock.  It streams the regions in priority order: each
-     peer's region is read into the worker's one scratch buffer
+   - Phase B (after the intent barrier): every thread executes the
+     round's updates serially in (priority, batch) order — the commit
+     order fixed by the round structure of the deterministic logical
+     clock.  It streams the regions in priority order: each peer's
+     region is read into the worker's one scratch buffer
      ({!Api.ops.read_into}, charged like a full-region read) and folded
-     at once into the worker's written-key marks
+     at once into the worker's overlay of the round's writes
      ({!Validate.fold_region}); its own region is folded from the bytes
-     it just published.  Only its own verdicts are kept, as a bitmask
-     over batch index, so a round allocates nothing per peer.  The
-     thread then applies its own committed write sets (bumping each
-     key's version word) and charges validate/abort costs through the
-     cost model.  Aborted transactions back off deterministically and
-     retry at the front of the next round's batch.
+     it just published.  A transaction that touches a key written
+     earlier in the order is re-executed there instead of aborting, so
+     every update commits this round.  Phase B reads no store word (on
+     pthreads, peers' phase-B writes are visible at once) and allocates
+     nothing in the fold.  Each thread then completes its own updates,
+     charging validation for each and a phase-A execution's work for
+     each re-execution, and writes the final value and version (round
+     start + writes this round) of every key whose last writer in the
+     round is one of its own transactions — exactly one thread writes
+     each key, so the runtimes' byte-merge never has to order writes.
 
-   Because the verdicts are a pure function of the published intents,
-   transaction outcomes and abort/retry counts are byte-identical on
+   Because the fold is a pure function of the published intents,
+   transaction outcomes and re-execution counts are byte-identical on
    every runtime — the four deterministic libraries, the pipelined
    commit variant, real OCaml 5 domains, and even the nondeterministic
    pthreads baseline — and across seeds.  Only wall_ns and the latency
@@ -43,8 +49,6 @@ let batch = 4
 let default_requests = 24
 let checksum_mask = (1 lsl 61) - 1
 let mix chk v seq = ((chk * 131) + v + seq) land checksum_mask
-
-type pending = { txn : Txn.t; mutable retries : int; mutable submit_ns : int }
 
 (* Completion records for the serializability oracle (tests only; the
    registry workloads use a no-op recorder and share no mutable state). *)
@@ -66,7 +70,7 @@ type outcome = {
   oc_vers : int array;
   oc_checksums : int array;
   oc_commits : int array;
-  oc_aborts : int array;
+  oc_reexecs : int array;
   oc_records : record_ list;
 }
 
@@ -76,19 +80,19 @@ let split_batch n l =
   in
   go [] n l
 
+let no_txn = { Txn.seq = 0; kind = Txn.Update; reads = []; writes = [] }
+
 let worker ~shape ~nthreads ~requests ~(record : recorder) id (ops : A.ops) =
-  let queue =
-    ref
-      (List.map
-         (fun t -> { txn = t; retries = 0; submit_ns = -1 })
-         (Traffic.gen shape ~tid:id ~requests))
-  in
-  let checksum = ref 0 and commits = ref 0 and aborts = ref 0 and remaining = ref requests in
-  (* Phase-B arbitration state, private to this worker: the key marks of
-     the streaming fold and the one buffer every peer region is read
-     into. *)
-  let written = Array.make Layout.n_keys false in
+  let queue = ref (Traffic.gen shape ~tid:id ~requests) in
+  let checksum = ref 0 and commits = ref 0 and reexecs = ref 0 and remaining = ref requests in
+  (* Phase-B state, private to this worker and allocated once: the
+     overlay of the round's writes, the one buffer every peer region is
+     read into, and per intent slot the update, its submission time and
+     its read sum at its place in the commit order. *)
+  let overlay = Validate.overlay () in
   let scratch = Bytes.create Layout.intent_bytes in
+  let updates = Array.make batch no_txn and submitted = Array.make batch 0 in
+  let sums = Array.make batch 0 and peer_sums = Array.make batch 0 in
   let read_val k = ops.A.read_int ~addr:(Layout.value_addr k) in
   let read_ver k = ops.A.read_int ~addr:(Layout.ver_addr k) in
   let all_done () =
@@ -98,7 +102,7 @@ let worker ~shape ~nthreads ~requests ~(record : recorder) id (ops : A.ops) =
     done;
     !rem = 0
   in
-  let complete ~txn ~round ~batch_idx ~retries ~read_sum ~submit_ns =
+  let complete ~txn ~round ~batch_idx ~read_sum ~submit_ns =
     checksum := mix !checksum read_sum txn.Txn.seq;
     decr remaining;
     ops.A.metric_observe "kv:req_ns" (max 0 (ops.A.now_ns () - submit_ns));
@@ -108,7 +112,7 @@ let worker ~shape ~nthreads ~requests ~(record : recorder) id (ops : A.ops) =
         rc_txn = txn;
         rc_round = round;
         rc_batch = batch_idx;
-        rc_retries = retries;
+        rc_retries = 0;
         rc_read_sum = read_sum;
       }
   in
@@ -117,11 +121,10 @@ let worker ~shape ~nthreads ~requests ~(record : recorder) id (ops : A.ops) =
       (* ---- phase A ---- *)
       let this_batch, rest = split_batch batch !queue in
       queue := rest;
-      let attempts = ref [] in
+      let intents = ref [] and nupdates = ref 0 in
       List.iteri
-        (fun pos p ->
-          if p.submit_ns < 0 then p.submit_ns <- ops.A.now_ns ();
-          let t = p.txn in
+        (fun pos t ->
+          let submit_ns = ops.A.now_ns () in
           ops.A.work (20 + (5 * Txn.entries t));
           match t.Txn.kind with
           | Txn.Snapshot ->
@@ -138,78 +141,72 @@ let worker ~shape ~nthreads ~requests ~(record : recorder) id (ops : A.ops) =
                   done)
                 t.Txn.reads;
               ops.A.metric_incr "kv:snapshots" 1;
-              complete ~txn:t ~round ~batch_idx:pos ~retries:p.retries ~read_sum:!sum
-                ~submit_ns:p.submit_ns
+              complete ~txn:t ~round ~batch_idx:pos ~read_sum:!sum ~submit_ns
           | Txn.Update ->
               let sum = ref 0 in
-              let reads =
+              List.iter
+                (fun (k, len) ->
+                  for i = k to k + len - 1 do
+                    sum := !sum + read_val i
+                  done)
+                t.Txn.reads;
+              let writes =
                 List.map
-                  (fun (k, len) ->
-                    let ver = read_ver k in
-                    for i = k to k + len - 1 do
-                      sum := !sum + read_val i
-                    done;
-                    { Intent.key = k; len; ver })
-                  t.Txn.reads
-              in
-              let read_sum = !sum in
-              let wvals =
-                List.mapi
-                  (fun nth k ->
-                    (k, Txn.new_value ~old:(read_val k) ~read_sum ~seq:t.Txn.seq ~nth, read_ver k))
+                  (fun k ->
+                    let start = read_val k in
+                    { Intent.key = k; start; start_ver = read_ver k })
                   t.Txn.writes
               in
-              attempts := (p, reads, wvals, read_sum) :: !attempts)
+              intents :=
+                { Intent.seq = t.Txn.seq; read_sum = !sum; reads = t.Txn.reads; writes }
+                :: !intents;
+              updates.(!nupdates) <- t;
+              submitted.(!nupdates) <- submit_ns;
+              incr nupdates)
         this_batch;
-      let attempts = List.rev !attempts in
-      let intents =
-        List.map
-          (fun (p, reads, _, _) -> { Intent.seq = p.txn.Txn.seq; reads; writes = p.txn.Txn.writes })
-          attempts
-      in
-      let published = Intent.encode intents in
+      let published = Intent.encode (List.rev !intents) in
       ops.A.write ~addr:(Layout.intent_addr id) published;
       ops.A.barrier_wait b1;
       (* ---- phase B ---- *)
-      Array.fill written 0 Layout.n_keys false;
-      let verdicts = ref 0 in
+      Validate.reset overlay;
+      let reexec_mask = ref 0 in
       for p = 0 to nthreads - 1 do
         let t = Validate.tid_of_priority ~round ~nthreads p in
-        if t = id then verdicts := Validate.fold_region ~written published
+        if t = id then reexec_mask := Validate.fold_region overlay ~tid:id ~sums published
         else begin
           ops.A.read_into ~addr:(Layout.intent_addr t) scratch;
-          ignore (Validate.fold_region ~written scratch)
+          ignore (Validate.fold_region overlay ~tid:t ~sums:peer_sums scratch)
         end
       done;
-      let retry_rev = ref [] in
-      List.iteri
-        (fun bi (p, _, wvals, read_sum) ->
-          let t = p.txn in
-          ops.A.txn_validate ~keys:(Txn.entries t);
-          if !verdicts land (1 lsl bi) <> 0 then begin
-            List.iter
-              (fun (k, v, ver) ->
-                ops.A.write_int ~addr:(Layout.value_addr k) v;
-                ops.A.write_int ~addr:(Layout.ver_addr k) (ver + 1))
-              wvals;
-            incr commits;
-            ops.A.metric_incr "kv:commits" 1;
-            complete ~txn:t ~round ~batch_idx:bi ~retries:p.retries ~read_sum
-              ~submit_ns:p.submit_ns
-          end
-          else begin
-            ops.A.txn_abort ~seq:t.Txn.seq ~retries:p.retries;
-            p.retries <- p.retries + 1;
-            incr aborts;
-            ops.A.metric_incr "kv:aborts" 1;
-            retry_rev := p :: !retry_rev
-          end)
-        attempts;
-      queue := List.rev_append !retry_rev !queue;
+      let txn = ref Intent.first_txn in
+      for bi = 0 to !nupdates - 1 do
+        let t = updates.(bi) in
+        ops.A.txn_validate ~keys:(Txn.entries t);
+        if !reexec_mask land (1 lsl bi) <> 0 then begin
+          ops.A.work (20 + (5 * Txn.entries t));
+          incr reexecs;
+          ops.A.metric_incr "kv:reexecs" 1
+        end;
+        let stop = Intent.next_txn published !txn in
+        let w = ref (Intent.writes_at published !txn) in
+        while !w < stop do
+          let k = Intent.word published !w in
+          if Validate.is_last_writer overlay k ~tid:id ~batch:bi then begin
+            ops.A.write_int ~addr:(Layout.value_addr k) (Validate.value overlay k);
+            ops.A.write_int ~addr:(Layout.ver_addr k)
+              (Intent.word published (!w + 2) + Validate.writes overlay k)
+          end;
+          w := !w + Intent.write_words
+        done;
+        txn := stop;
+        incr commits;
+        ops.A.metric_incr "kv:commits" 1;
+        complete ~txn:t ~round ~batch_idx:bi ~read_sum:sums.(bi) ~submit_ns:submitted.(bi)
+      done;
       ops.A.write_int ~addr:(Layout.remaining_addr id) !remaining;
       ops.A.write_int ~addr:(Layout.checksum_addr id) !checksum;
       ops.A.write_int ~addr:(Layout.commits_addr id) !commits;
-      ops.A.write_int ~addr:(Layout.aborts_addr id) !aborts;
+      ops.A.write_int ~addr:(Layout.reexecs_addr id) !reexecs;
       ops.A.barrier_wait b2;
       round_loop (round + 1)
     end
@@ -245,20 +242,20 @@ let main ~shape ~requests ~(record : recorder) ~(finish : A.ops -> int -> unit) 
   in
   List.iter ops.A.join workers;
   (* Deterministic service summary: store digest, then per-thread
-     checksums and commit/abort counts in thread order, then totals.
-     All of it flows into the output-trace witness, so the abort counts
-     themselves are witness-checked. *)
+     checksums and commit/re-execution counts in thread order, then
+     totals.  All of it flows into the output-trace witness, so the
+     re-execution counts themselves are witness-checked. *)
   ops.A.log_output (Printf.sprintf "kv:%s store=%d" (Traffic.name shape) (store_digest ops));
-  let tc = ref 0 and ta = ref 0 in
+  let tc = ref 0 and tr = ref 0 in
   for t = 0 to nthreads - 1 do
     let c = ops.A.read_int ~addr:(Layout.commits_addr t)
-    and a = ops.A.read_int ~addr:(Layout.aborts_addr t)
+    and r = ops.A.read_int ~addr:(Layout.reexecs_addr t)
     and chk = ops.A.read_int ~addr:(Layout.checksum_addr t) in
     tc := !tc + c;
-    ta := !ta + a;
-    ops.A.log_output (Printf.sprintf "kv:t%d chk=%d commits=%d aborts=%d" t chk c a)
+    tr := !tr + r;
+    ops.A.log_output (Printf.sprintf "kv:t%d chk=%d commits=%d reexecs=%d" t chk c r)
   done;
-  ops.A.log_output (Printf.sprintf "kv:total commits=%d aborts=%d" !tc !ta);
+  ops.A.log_output (Printf.sprintf "kv:total commits=%d reexecs=%d" !tc !tr);
   finish ops nthreads
 
 let no_record : recorder = fun _ -> ()
@@ -293,7 +290,7 @@ let probe ?(requests = default_requests) shape =
           oc_vers = vers;
           oc_checksums = per Layout.checksum_addr;
           oc_commits = per Layout.commits_addr;
-          oc_aborts = per Layout.aborts_addr;
+          oc_reexecs = per Layout.reexecs_addr;
           oc_records = List.concat_map (fun t -> List.rev slots.(t)) (List.init nthreads Fun.id);
         }
   in

@@ -1,19 +1,21 @@
 (** The deterministic transactional KV service.
 
-    A round-structured ordered-OCC server: each server thread executes a
-    batch of requests against the round-start snapshot (buffering update
-    writes locally, serving snapshot reads copy-free from version
-    histories at a pinned version), publishes its read/write intents,
-    and — after the round barrier — every thread runs the same pure
-    arbitration ({!Validate.fold_region}, streamed over every thread's
-    region) in the commit order fixed by the
-    round structure.  Verdicts are a pure function of published intents,
-    so transaction outcomes and abort/retry counts are byte-identical
-    across all runtimes and seeds; snapshot transactions never abort by
-    construction. *)
+    A round-structured ordered server in which every update commits in
+    the round it was submitted: each server thread executes a batch of
+    requests against the round-start snapshot (serving snapshot reads
+    copy-free from version histories at a pinned version), publishes
+    each update's read sum, read ranges and written keys' round-start
+    values and versions, and — after the round barrier — every thread
+    executes the round's updates serially in the commit order fixed by
+    the round structure ({!Validate.fold_region}, streamed over every
+    thread's region), re-executing at its place any update that touches
+    a key written earlier in that order.  The result is a pure function
+    of published intents, so transaction outcomes and re-execution
+    counts are byte-identical across all runtimes and seeds; nothing
+    aborts or retries. *)
 
 val batch : int
-(** Requests a thread attempts per round (retries first). *)
+(** Requests a thread executes per round. *)
 
 val default_requests : int
 (** Per-thread request count of the registry workloads at scale 1. *)
@@ -25,7 +27,7 @@ type record_ = {
   rc_txn : Txn.t;
   rc_round : int;  (** round the request completed in *)
   rc_batch : int;  (** its index within that round's intent list *)
-  rc_retries : int;
+  rc_retries : int;  (** earlier aborted attempts: always 0, nothing aborts *)
   rc_read_sum : int;  (** the sum over its read set it observed *)
 }
 
@@ -38,7 +40,7 @@ type outcome = {
   oc_vers : int array;  (** final version word per key *)
   oc_checksums : int array;  (** per-thread completion checksum *)
   oc_commits : int array;
-  oc_aborts : int array;
+  oc_reexecs : int array;  (** per-thread same-round re-executions *)
   oc_records : record_ list;  (** every completed request, all threads *)
 }
 

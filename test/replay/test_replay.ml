@@ -232,14 +232,66 @@ let test_truncated_log_reports_extra_events () =
       check_bool "expected nothing" true (d.Rep.expected = None);
       check_bool "actual is the surplus event" true (d.Rep.actual <> None)
 
+(* A purpose-built abort producer (the KV service itself re-executes
+   instead of aborting): each worker commits [requests] increments to one
+   of two shared counters.  Per round every worker posts the counter it
+   wants in its own claim slot; after the barrier the lowest-numbered
+   claimant of each counter commits, and every other claimant aborts
+   through [ops.txn_abort] and retries in the next round. *)
+let abort_probe =
+  let requests = 3 and word = 8 and page = 256 in
+  let counter k = k * word and claim t = page + (t * word) in
+  let remaining t = (2 * page) + (t * word) in
+  let worker ~nthreads id (ops : Api.ops) =
+    let seq = ref 0 and retries = ref 0 in
+    let all_done () =
+      List.for_all (fun t -> ops.Api.read_int ~addr:(remaining t) = 0) (List.init nthreads Fun.id)
+    in
+    while not (all_done ()) do
+      let want = if !seq < requests then (!seq + id) mod 2 else -1 in
+      ops.Api.write_int ~addr:(claim id) want;
+      ops.Api.barrier_wait 1;
+      if want >= 0 then begin
+        let winner =
+          List.find
+            (fun t -> ops.Api.read_int ~addr:(claim t) = want)
+            (List.init nthreads Fun.id)
+        in
+        if winner = id then begin
+          ops.Api.write_int ~addr:(counter want) (ops.Api.read_int ~addr:(counter want) + 1);
+          incr seq;
+          retries := 0
+        end
+        else begin
+          ops.Api.txn_abort ~seq:!seq ~retries:!retries;
+          ops.Api.metric_incr "kv:aborts" 1;
+          incr retries
+        end
+      end;
+      ops.Api.write_int ~addr:(remaining id) (requests - !seq);
+      ops.Api.barrier_wait 2
+    done
+  in
+  Api.make ~name:"abort_probe" ~description:"contended counters with abort/retry"
+    ~default_threads:4 ~heap_pages:3 ~page_size:page (fun ~nthreads ops ->
+      for t = 0 to nthreads - 1 do
+        ops.Api.write_int ~addr:(remaining t) requests
+      done;
+      ops.Api.barrier_init 1 nthreads;
+      ops.Api.barrier_init 2 nthreads;
+      List.init nthreads (fun id ->
+          ops.Api.spawn ~name:(Printf.sprintf "w%d" id) (worker ~nthreads id))
+      |> List.iter ops.Api.join;
+      ops.Api.log_output
+        (Printf.sprintf "counters %d %d" (ops.Api.read_int ~addr:(counter 0))
+           (ops.Api.read_int ~addr:(counter 1))))
+
 let test_kv_abort_events_recorded_and_checked () =
-  (* The KV service's abort/retry decisions are first-class deterministic
-     events: the recorded stream must carry them (kv_zipf is the most
-     contended shape), a faithful replay must walk straight through, and
-     corrupting one abort's retry count must be flagged at exactly that
-     stream position. *)
-  let prog = program_of "kv_zipf" in
-  let log, res = Sch.record Runtime.Run.consequence_ic ~seed:1 ~nthreads:4 prog in
+  (* Transaction aborts are first-class deterministic events: the
+     recorded stream must carry one per [txn_abort] call, a faithful
+     replay must walk straight through, and corrupting one abort's retry
+     count must be flagged at exactly that stream position. *)
+  let log, res = Sch.record Runtime.Run.consequence_ic ~seed:1 ~nthreads:4 abort_probe in
   let aborts =
     Array.fold_left
       (fun n ev -> match ev with Ev.Txn_abort _ -> n + 1 | _ -> n)
@@ -248,8 +300,8 @@ let test_kv_abort_events_recorded_and_checked () =
   check_int "abort events recorded"
     (Obs.Metrics.counter_value res.Res.metrics "kv:aborts")
     aborts;
-  check_bool "contended shape actually aborts" true (aborts > 0);
-  let o = Rep.replay log prog in
+  check_bool "contended probe actually aborts" true (aborts > 0);
+  let o = Rep.replay log abort_probe in
   check_bool "faithful replay" true (Rep.ok o);
   check_int "every event checked" (Sch.length log) o.Rep.checked;
   let events = Array.copy log.Sch.events in
@@ -258,7 +310,7 @@ let test_kv_abort_events_recorded_and_checked () =
   | Ev.Txn_abort { tid; seq; retries } ->
       events.(i) <- Ev.Txn_abort { tid; seq; retries = retries + 1 }
   | _ -> assert false);
-  let o = Rep.replay { log with Sch.events } prog in
+  let o = Rep.replay { log with Sch.events } abort_probe in
   match o.Rep.divergence with
   | None -> Alcotest.fail "corrupted abort event replayed without divergence"
   | Some d -> check_int "localized to the corrupted abort" i d.Rep.index
