@@ -402,16 +402,15 @@ let schedule_cmd =
         prerr_endline e;
         exit 1
     | Ok program ->
-        let r = Runtime.Run.run runtime ~seed ~nthreads:threads program in
+        let schedule, r = Runtime.Run.schedule runtime ~seed ~nthreads:threads program in
+        let total = r.Stats.Run_result.trace_events in
         Printf.printf
           "# %s on %s, %d threads — first %d of %d synchronization events\n"
-          name (Runtime.Run.name runtime) threads
-          (min count (List.length r.Stats.Run_result.schedule))
-          (List.length r.Stats.Run_result.schedule);
+          name (Runtime.Run.name runtime) threads (min count total) total;
         List.iteri
           (fun i (time, tid, label) ->
             if i < count then Printf.printf "%10d ns  t%-3d %s\n" time tid label)
-          r.Stats.Run_result.schedule
+          schedule
   in
   let count_arg =
     Arg.(value & opt int 60 & info [ "n"; "count" ] ~doc:"Events to print.")

@@ -33,9 +33,7 @@ let compute_bound =
           w.Api.work 400_000;
           w.Api.write_int ~addr:(8 * i) i))
 
-let forced_commit_count r =
-  List.length
-    (List.filter (fun (_, _, label) -> label = "forced-commit") r.Stats.Run_result.schedule)
+let forced_commit_count r = Obs.Metrics.counter_value r.Stats.Run_result.metrics "op:forced-commit"
 
 let measure ?(seed = 1) () =
   Sim.Par.map_list

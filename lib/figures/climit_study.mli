@@ -20,6 +20,11 @@ type row = {
   compute_wall_ns : int;  (** the innocent bystander's wall time *)
 }
 
+val flag_spin : Api.t
+(** The paper's T0/T1 example: a spinner reads a flag that a setter
+    writes without synchronization.  Livelocks unless a chunk limit
+    forces commits. *)
+
 val limits : int option list
 val measure : ?seed:int -> unit -> row list
 val run : ?seed:int -> unit -> Fig_output.t

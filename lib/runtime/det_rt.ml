@@ -120,6 +120,9 @@ type t = {
   clocks : Lc.t;
   token : Tok.t;
   sync_trace : Sim.Trace.t;
+  on_sync : (time:int -> tid:int -> string -> unit) option;
+      (* sees every sync op after [sync_trace] has folded it; only
+         [Run.schedule] sets it *)
   out_trace : Sim.Trace.t;
   (* Dense thread table: tids are handed out 0, 1, 2, ... so a flat array
      indexed by tid replaces a hashtable; the accounting folds that run on
@@ -249,7 +252,9 @@ let record_sync rt th ~op label =
     Printf.eprintf "SYNC t%d %s pub=%d ic=%d\n%!" th.tid label
       (Lc.published th.clock) th.instr_retired;
   Obs.Metrics.count op 1;
-  Sim.Trace.record rt.sync_trace ~time:(e_now rt) ~tid:th.tid ~label
+  let time = e_now rt in
+  Sim.Trace.record rt.sync_trace ~time ~tid:th.tid ~label;
+  match rt.on_sync with None -> () | Some f -> f ~time ~tid:th.tid label
 
 (* Observability helpers.  These read the simulated clock but never
    advance it, block, or touch algorithm state: instrumented and bare
@@ -1742,7 +1747,7 @@ and join_thread rt th target_tid =
    ids, token grants, commits, witnesses — is computed by the same code
    on every substrate; only time and physical placement differ. *)
 let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer
-    ?(obs = Obs.Sink.null) (program : Api.t) =
+    ?(obs = Obs.Sink.null) ?on_sync (program : Api.t) =
   let nthreads = match nthreads with Some n -> n | None -> program.Api.default_threads in
   let seg =
     Vmem.Segment.create ~name:program.Api.name ~pages:program.Api.heap_pages
@@ -1766,8 +1771,9 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
       seg;
       clocks;
       token;
-      sync_trace = Sim.Trace.create ~capture:true ();
-      out_trace = Sim.Trace.create ~capture:true ();
+      sync_trace = Sim.Trace.create ();
+      on_sync;
+      out_trace = Sim.Trace.create ();
       threads = Array.make 8 None;
       mutex_dense = Array.make 64 None;
       mutexes = Hashtbl.create 16;
@@ -1863,18 +1869,14 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
     sync_order_hash = Sim.Trace.hash rt.sync_trace;
     output_hash = Sim.Trace.hash rt.out_trace;
     trace_events = Sim.Trace.length rt.sync_trace;
-    schedule =
-      List.map
-        (fun (e : Sim.Trace.event) -> (e.Sim.Trace.time, e.Sim.Trace.tid, e.Sim.Trace.label))
-        (Sim.Trace.events rt.sync_trace);
     metrics = Obs.Metrics.snapshot rt.metrics;
   }
 
 (* The discrete-event entry point every existing caller uses: wrap the
    DES engine as the execution substrate and drive it to quiescence. *)
-let run cfg ?costs ?seed ?nthreads ?observer ?obs (program : Api.t) =
+let run cfg ?costs ?seed ?nthreads ?observer ?obs ?on_sync (program : Api.t) =
   let eng = Sim.Engine.create ~seed:(Option.value seed ~default:1) () in
   run_exec cfg
     ~ex:(Sim.Exec.of_engine eng)
     ~start:(fun () -> Sim.Engine.run eng)
-    ?costs ?seed ?nthreads ?observer ?obs program
+    ?costs ?seed ?nthreads ?observer ?obs ?on_sync program

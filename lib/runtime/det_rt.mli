@@ -30,6 +30,7 @@ val run_exec :
   ?nthreads:int ->
   ?observer:Rt_event.observer ->
   ?obs:Obs.Sink.t ->
+  ?on_sync:(time:int -> tid:int -> string -> unit) ->
   Api.t ->
   Stats.Run_result.t
 (** Run the program on an arbitrary execution substrate ({!Sim.Exec.t}).
@@ -47,6 +48,7 @@ val run :
   ?nthreads:int ->
   ?observer:Rt_event.observer ->
   ?obs:Obs.Sink.t ->
+  ?on_sync:(time:int -> tid:int -> string -> unit) ->
   Api.t ->
   Stats.Run_result.t
 (** [run cfg program] executes the program to completion.  [seed]
@@ -64,7 +66,10 @@ val run :
     invariant), with completed waits stamped with the waking thread's
     tid.  Instrumentation is determinism-neutral: an instrumented run
     produces the same witnesses {e and} the same [wall_ns] as a bare
-    run (enforced by the neutrality tests).
+    run (enforced by the neutrality tests).  [on_sync] (default none)
+    is called with each synchronization event (time, tid, op label) in
+    global order, after it has been folded into [sync_order_hash]; it
+    is how {!Run.schedule} collects the schedule.
 
     @raise Sim.Engine.Deadlock if the program deadlocks.
     @raise Sim.Engine.Stuck if the program exceeds the event budget,

@@ -28,8 +28,10 @@ val run :
   ?nthreads:int ->
   ?observer:Rt_event.observer ->
   ?obs:Obs.Sink.t ->
+  ?on_sync:(time:int -> tid:int -> string -> unit) ->
   Api.t ->
   Stats.Run_result.t
 (** [domains]: worker-domain count; [0] means auto
     ([Domain.recommended_domain_count]), omitted means the process-wide
-    [-j] knob ({!Sim.Par.jobs}). *)
+    [-j] knob ({!Sim.Par.jobs}).  [on_sync] as in {!Det_rt.run}; it is
+    called under the runtime lock, so calls never overlap. *)

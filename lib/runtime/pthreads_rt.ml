@@ -41,6 +41,9 @@ type t = {
   conds : (int, cond_rec) Hashtbl.t;
   barriers : (int, barrier_rec) Hashtbl.t;
   sync_trace : Sim.Trace.t;
+  on_sync : (time:int -> tid:int -> string -> unit) option;
+      (* sees every sync op after [sync_trace] has folded it; only
+         [Run.schedule] sets it *)
   out_trace : Sim.Trace.t;
   mutable next_tid : int;
   mutable sync_ops : int;
@@ -86,7 +89,9 @@ let charge rt th st ns =
 let record_sync rt th ~op label =
   rt.sync_ops <- rt.sync_ops + 1;
   Obs.Metrics.count op 1;
-  Sim.Trace.record rt.sync_trace ~time:(Sim.Engine.now rt.eng) ~tid:th.tid ~label
+  let time = Sim.Engine.now rt.eng in
+  Sim.Trace.record rt.sync_trace ~time ~tid:th.tid ~label;
+  match rt.on_sync with None -> () | Some f -> f ~time ~tid:th.tid label
 
 (* Wait instrumentation shared by lock / cond / barrier / join blocking
    paths: record the wait in the breakdown, the metrics histogram, and —
@@ -486,7 +491,7 @@ and join_thread rt th target_tid =
   emit_acquire rt th (Rt_event.obj_thread target_tid ^ ":exit")
 
 let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Obs.Sink.null)
-    (program : Api.t) =
+    ?on_sync (program : Api.t) =
   let nthreads = match nthreads with Some n -> n | None -> program.Api.default_threads in
   let eng = Sim.Engine.create ~seed () in
   let metrics = Obs.Metrics.create () in
@@ -501,8 +506,9 @@ let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Ob
       mutexes = Hashtbl.create 16;
       conds = Hashtbl.create 16;
       barriers = Hashtbl.create 16;
-      sync_trace = Sim.Trace.create ~capture:true ();
-      out_trace = Sim.Trace.create ~capture:true ();
+      sync_trace = Sim.Trace.create ();
+      on_sync;
+      out_trace = Sim.Trace.create ();
       next_tid = 1;
       sync_ops = 0;
       obs;
@@ -558,9 +564,5 @@ let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Ob
     sync_order_hash = Sim.Trace.hash rt.sync_trace;
     output_hash = Sim.Trace.hash rt.out_trace;
     trace_events = Sim.Trace.length rt.sync_trace;
-    schedule =
-      List.map
-        (fun (e : Sim.Trace.event) -> (e.Sim.Trace.time, e.Sim.Trace.tid, e.Sim.Trace.label))
-        (Sim.Trace.events rt.sync_trace);
     metrics = Obs.Metrics.snapshot rt.metrics;
   }

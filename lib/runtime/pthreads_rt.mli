@@ -15,6 +15,7 @@ val run :
   ?nthreads:int ->
   ?observer:Rt_event.observer ->
   ?obs:Obs.Sink.t ->
+  ?on_sync:(time:int -> tid:int -> string -> unit) ->
   Api.t ->
   Stats.Run_result.t
 (** [obs] (default {!Obs.Sink.null}) receives lock / barrier / join wait
@@ -28,7 +29,10 @@ val run :
     word last written by another thread (the [version]/[loser_version]
     fields carry the two threads' release-epochs).  Attaching an
     observer allocates shadow state but charges no simulated cost: the
-    run's timing and results are unchanged. *)
+    run's timing and results are unchanged.
+
+    [on_sync] receives each synchronization event as in {!Det_rt.run},
+    in simulated wall-clock order. *)
 
 val name : string
 (** ["pthreads"]. *)

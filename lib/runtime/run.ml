@@ -33,11 +33,20 @@ let deterministic = function
   | Pthreads -> false
   | Det cfg | Domains cfg -> cfg.Config.counter_jitter_ppm = 0
 
-let run rt ?costs ?seed ?nthreads ?observer ?obs program =
+let run_with ?on_sync rt ?costs ?seed ?nthreads ?observer ?obs program =
   match rt with
-  | Pthreads -> Pthreads_rt.run ?costs ?seed ?nthreads ?observer ?obs program
-  | Det cfg -> Det_rt.run cfg ?costs ?seed ?nthreads ?observer ?obs program
-  | Domains cfg -> Domains_rt.run cfg ?costs ?seed ?nthreads ?observer ?obs program
+  | Pthreads -> Pthreads_rt.run ?costs ?seed ?nthreads ?observer ?obs ?on_sync program
+  | Det cfg -> Det_rt.run cfg ?costs ?seed ?nthreads ?observer ?obs ?on_sync program
+  | Domains cfg -> Domains_rt.run cfg ?costs ?seed ?nthreads ?observer ?obs ?on_sync program
+
+let run rt ?costs ?seed ?nthreads ?observer ?obs program =
+  run_with rt ?costs ?seed ?nthreads ?observer ?obs program
+
+let schedule rt ?costs ?seed ?nthreads program =
+  let rev = ref [] in
+  let on_sync ~time ~tid label = rev := (time, tid, label) :: !rev in
+  let r = run_with ~on_sync rt ?costs ?seed ?nthreads program in
+  (List.rev !rev, r)
 
 let best_over_threads rt ?costs ?seed ~threads program =
   match threads with

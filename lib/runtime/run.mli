@@ -58,6 +58,20 @@ val run :
     timing spans and thread-state intervals on any runtime; see
     {!Det_rt.run} for the determinism-neutrality guarantee. *)
 
+val schedule :
+  runtime ->
+  ?costs:Cost_model.t ->
+  ?seed:int ->
+  ?nthreads:int ->
+  Api.t ->
+  (int * int * string) list * Stats.Run_result.t
+(** {!run}, also returning the global synchronization schedule: every
+    sync event as (time ns, tid, op label), in the order it was folded
+    into [sync_order_hash] — the artifact a record/replay debugger would
+    consume.  It has [trace_events] entries, and the result equals that
+    of a plain {!run}.  A plain {!run} keeps no per-event state; this is
+    the only entry point that pays for the list. *)
+
 val best_over_threads :
   runtime ->
   ?costs:Cost_model.t ->

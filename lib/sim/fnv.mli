@@ -12,6 +12,9 @@ type t = int64
 val init : t
 (** The FNV-1a offset basis. *)
 
+val prime : t
+(** The FNV-1a 64-bit prime: {!byte} is xor-then-multiply by it. *)
+
 val byte : t -> int -> t
 (** Fold one byte (low 8 bits of the int) into the state. *)
 

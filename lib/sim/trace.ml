@@ -1,23 +1,38 @@
-type event = { time : int; tid : int; label : string }
+(* The untimed and timed FNV-1a states live unboxed in [st] (bytes 0-7
+   and 8-15): an [Fnv.t] field would box a fresh int64 at every fold
+   step.  [record] folds exactly the bytes [Fnv.int]/[Fnv.string] would,
+   in the same order, so the digests are plain FNV-1a over the stream. *)
+type t = { mutable count : int; st : Bytes.t }
 
-type t = {
-  capture : bool;
-  mutable events_rev : event list;
-  mutable count : int;
-  mutable h : Fnv.t;
-  mutable timed_h : Fnv.t;
-}
+let create () =
+  let st = Bytes.create 16 in
+  Bytes.set_int64_le st 0 Fnv.init;
+  Bytes.set_int64_le st 8 Fnv.init;
+  { count = 0; st }
 
-let create ?(capture = true) () =
-  { capture; events_rev = []; count = 0; h = Fnv.init; timed_h = Fnv.init }
+(* [Fnv.byte], restated here so it inlines: dune's dev profile compiles
+   libraries [-opaque], and a cross-module call would box both ends. *)
+let[@inline] byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) Fnv.prime
 
 let record t ~time ~tid ~label =
-  if t.capture then t.events_rev <- { time; tid; label } :: t.events_rev;
   t.count <- t.count + 1;
-  t.h <- Fnv.string (Fnv.int t.h tid) label;
-  t.timed_h <- Fnv.string (Fnv.int (Fnv.int t.timed_h time) tid) label
+  let h = ref (Bytes.get_int64_le t.st 0) and th = ref (Bytes.get_int64_le t.st 8) in
+  for shift = 0 to 7 do
+    th := byte !th (time lsr (shift * 8))
+  done;
+  for shift = 0 to 7 do
+    let b = tid lsr (shift * 8) in
+    h := byte !h b;
+    th := byte !th b
+  done;
+  for i = 0 to String.length label - 1 do
+    let b = Char.code (String.unsafe_get label i) in
+    h := byte !h b;
+    th := byte !th b
+  done;
+  Bytes.set_int64_le t.st 0 !h;
+  Bytes.set_int64_le t.st 8 !th
 
 let length t = t.count
-let events t = List.rev t.events_rev
-let hash t = Fnv.to_hex t.h
-let timed_hash t = Fnv.to_hex t.timed_h
+let hash t = Fnv.to_hex (Bytes.get_int64_le t.st 0)
+let timed_hash t = Fnv.to_hex (Bytes.get_int64_le t.st 8)

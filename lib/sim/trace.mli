@@ -1,25 +1,22 @@
-(** Append-only event trace.
+(** Append-only event trace, kept as streaming hashes.
 
     Runtimes record their externally observable events here (sync-operation
-    order, commit order, values read).  A trace supports both full capture
-    (for debugging and the TSO checker) and streaming hashing (for cheap
-    determinism witnesses over long runs). *)
+    order, logged output).  A trace retains only a count and two FNV-1a
+    digests, so it is O(1) in memory and [record] allocates nothing; a
+    caller that wants the events themselves collects them as they are
+    recorded (see [Runtime.Run.schedule]). *)
 
 type t
 
-type event = { time : int; tid : int; label : string }
-
-val create : ?capture:bool -> unit -> t
-(** [capture] (default true) controls whether events are retained in full;
-    hashing happens regardless. *)
+val create : unit -> t
 
 val record : t -> time:int -> tid:int -> label:string -> unit
+(** Folds [tid] then [label] into {!hash}, and [time], [tid], [label] into
+    {!timed_hash} (each int as its 8 little-endian bytes, as {!Fnv.int}).
+    Allocates nothing. *)
 
 val length : t -> int
-(** Number of events recorded (counted even when capture is off). *)
-
-val events : t -> event list
-(** Events in recording order.  Empty if capture was disabled. *)
+(** Number of events recorded. *)
 
 val hash : t -> string
 (** Hex digest over (tid, label) pairs in order.  Timestamps are excluded:

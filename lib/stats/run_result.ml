@@ -28,7 +28,6 @@ type t = {
   sync_order_hash : string;
   output_hash : string;
   trace_events : int;
-  schedule : (int * int * string) list;
   metrics : Obs.Metrics.snapshot;
 }
 

@@ -44,10 +44,8 @@ type t = {
   sync_order_hash : string;
   output_hash : string;
   trace_events : int;
-  schedule : (int * int * string) list;
-      (** the deterministic synchronization schedule: (time ns, tid,
-          operation label) in global order — the artifact a record/replay
-          debugger would consume *)
+      (** number of synchronization events; [Runtime.Run.schedule] returns
+          the events themselves *)
   metrics : Obs.Metrics.snapshot;
       (** per-run counters and latency histograms (token hold, commit,
           determ wait, pages/commit, chunk length, ...); derived purely
@@ -66,6 +64,4 @@ val pp_summary : Format.formatter -> t -> unit
     histograms present in [metrics]. *)
 
 val to_json : t -> Obs.Json.t
-(** Machine-readable dump of everything except the full [schedule]
-    (which can be huge; consumers wanting the timeline should record a
-    Chrome trace instead). *)
+(** Machine-readable dump of every field. *)

@@ -126,6 +126,25 @@ let test_climit_study () =
       end)
     rows
 
+(* The studies count forced commits from the "op:forced-commit" counter;
+   it must agree with the "forced-commit" entries of the schedule, which
+   the same [record_sync] call produces. *)
+let test_forced_commit_counter_matches_schedule () =
+  List.iter
+    (fun limit ->
+      let cfg = Runtime.Config.with_chunk_limit Runtime.Config.consequence_ic limit in
+      let schedule, r =
+        Runtime.Run.schedule (Runtime.Run.Det cfg) ~seed:1 ~nthreads:2
+          Figures.Climit_study.flag_spin
+      in
+      let in_schedule =
+        List.length (List.filter (fun (_, _, label) -> label = "forced-commit") schedule)
+      in
+      let counted = Obs.Metrics.counter_value r.Stats.Run_result.metrics "op:forced-commit" in
+      check_bool "forced commits happened" true (in_schedule > 0);
+      check_int (Printf.sprintf "limit %d: counter = schedule entries" limit) in_schedule counted)
+    [ 5_000; 100_000 ]
+
 let test_soundness_study () =
   let rows = Figures.Soundness_study.measure ~programs:4 ~threads:4 () in
   let exact = List.find (fun r -> r.Figures.Soundness_study.ppm = 0) rows in
@@ -204,6 +223,8 @@ let () =
           Alcotest.test_case "determinism report" `Slow test_determinism_report;
           Alcotest.test_case "tso report" `Quick test_tso_report;
           Alcotest.test_case "climit study" `Slow test_climit_study;
+          Alcotest.test_case "forced-commit counter matches schedule" `Quick
+            test_forced_commit_counter_matches_schedule;
           Alcotest.test_case "soundness study" `Slow test_soundness_study;
           Alcotest.test_case "locking study" `Quick test_locking_study;
           Alcotest.test_case "polling locks deterministic" `Quick

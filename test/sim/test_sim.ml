@@ -363,23 +363,35 @@ let test_trace_hash_ignores_time () =
   check_string "untimed hash equal" (Sim.Trace.hash t1) (Sim.Trace.hash t2);
   check_bool "timed hash differs" false (Sim.Trace.timed_hash t1 = Sim.Trace.timed_hash t2)
 
-let test_trace_capture_off () =
-  let t = Sim.Trace.create ~capture:false () in
-  Sim.Trace.record t ~time:1 ~tid:0 ~label:"x";
-  check_int "counted" 1 (Sim.Trace.length t);
-  check_bool "not captured" true (Sim.Trace.events t = [])
-
-let test_trace_events_recording_order () =
+(* Digests of a fixed record sequence, captured from the list-keeping
+   trace this hash-only one replaced: a change to the fold order or to
+   the byte encoding of time, tid or label shows up here. *)
+let test_trace_hash_compat () =
   let t = Sim.Trace.create () in
-  let recorded = [ (5, 2, "c"); (1, 0, "a"); (9, 1, "b") ] in
-  List.iter (fun (time, tid, label) -> Sim.Trace.record t ~time ~tid ~label) recorded;
-  (* events must preserve recording order, NOT sort by timestamp. *)
-  let got =
-    List.map
-      (fun (e : Sim.Trace.event) -> (e.Sim.Trace.time, e.Sim.Trace.tid, e.Sim.Trace.label))
-      (Sim.Trace.events t)
-  in
-  Alcotest.(check (list (triple int int string))) "recording order" recorded got
+  List.iter
+    (fun (time, tid, label) -> Sim.Trace.record t ~time ~tid ~label)
+    [
+      (0, 0, "spawn:1");
+      (13_550, 1, "lock:3");
+      (13_550, 1, "");
+      (max_int, 63, "forced-commit");
+      (7, 1 lsl 40, "barrier:0");
+      (-1, -5, "\xff\x00x");
+    ];
+  check_int "length" 6 (Sim.Trace.length t);
+  check_string "hash" "8bd3007043f21cd2" (Sim.Trace.hash t);
+  check_string "timed hash" "e6ac7dcafa95ce55" (Sim.Trace.timed_hash t)
+
+let test_trace_record_allocates_nothing () =
+  let t = Sim.Trace.create () in
+  let labels = [| "lock:3"; "commit:12345"; "" |] in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    Sim.Trace.record t ~time:i ~tid:(i land 7) ~label:labels.(i mod 3)
+  done;
+  let w1 = Gc.minor_words () in
+  check_int "minor words" 0 (int_of_float (w1 -. w0));
+  check_int "counted" 100_000 (Sim.Trace.length t)
 
 let test_trace_order_sensitivity () =
   let t1 = Sim.Trace.create () and t2 = Sim.Trace.create () in
@@ -505,9 +517,9 @@ let () =
           Alcotest.test_case "fnv known values" `Quick test_fnv_known_values;
           Alcotest.test_case "fnv int order sensitive" `Quick test_fnv_int_order_sensitive;
           Alcotest.test_case "trace hash ignores time" `Quick test_trace_hash_ignores_time;
-          Alcotest.test_case "trace capture off" `Quick test_trace_capture_off;
-          Alcotest.test_case "trace events recording order" `Quick
-            test_trace_events_recording_order;
+          Alcotest.test_case "trace hash compat" `Quick test_trace_hash_compat;
+          Alcotest.test_case "trace record allocates nothing" `Quick
+            test_trace_record_allocates_nothing;
           Alcotest.test_case "trace order sensitivity" `Quick test_trace_order_sensitivity;
         ] );
     ]

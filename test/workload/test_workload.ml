@@ -258,19 +258,48 @@ let prop_synthetic_deterministic =
       in
       w 1 = w 424242)
 
+(* [Run.schedule] collects the sync events a plain [Run.run] only
+   hashes: it must list exactly the events [sync_order_hash] folded, in
+   that order, and leave the run itself untouched. *)
 let test_schedule_exposed () =
   let p = (Workload.Registry.find "kmeans").Workload.Registry.program in
-  let r = Runtime.Run.run Runtime.Run.consequence_ic ~seed:1 ~nthreads:2 p in
-  check_int "schedule matches trace count" r.Stats.Run_result.trace_events
-    (List.length r.Stats.Run_result.schedule);
-  (* Timestamps are nondecreasing. *)
-  let sorted =
-    List.for_all2
-      (fun (t1, _, _) (t2, _, _) -> t1 <= t2)
-      (List.filteri (fun i _ -> i < List.length r.Stats.Run_result.schedule - 1) r.Stats.Run_result.schedule)
-      (List.tl r.Stats.Run_result.schedule)
-  in
-  check_bool "schedule time-ordered" true sorted
+  List.iter
+    (fun rt ->
+      let name = Runtime.Run.name rt in
+      let schedule, r = Runtime.Run.schedule rt ~seed:1 ~nthreads:4 p in
+      check_int (name ^ ": schedule matches trace count") r.Stats.Run_result.trace_events
+        (List.length schedule);
+      let rec nondecreasing = function
+        | (t1, _, _) :: ((t2, _, _) :: _ as rest) -> t1 <= t2 && nondecreasing rest
+        | _ -> true
+      in
+      check_bool (name ^ ": schedule time-ordered") true (nondecreasing schedule);
+      let folded =
+        List.fold_left
+          (fun h (_, tid, label) -> Sim.Fnv.string (Sim.Fnv.int h tid) label)
+          Sim.Fnv.init schedule
+      in
+      check_string
+        (name ^ ": schedule folds to sync_order_hash")
+        r.Stats.Run_result.sync_order_hash (Sim.Fnv.to_hex folded);
+      let bare = Runtime.Run.run rt ~seed:1 ~nthreads:4 p in
+      check_string
+        (name ^ ": witness unchanged by the hook")
+        (Stats.Run_result.deterministic_witness bare)
+        (Stats.Run_result.deterministic_witness r);
+      check_int (name ^ ": wall unchanged by the hook") bare.Stats.Run_result.wall_ns
+        r.Stats.Run_result.wall_ns)
+    [ Runtime.Run.consequence_ic; Runtime.Run.pthreads ]
+
+(* A run result holds counters, hashes and per-thread stats, never a
+   per-sync-op list: the 6.5k-event water_nsquared run at 32 threads
+   retained 47,788 words when results carried the schedule. *)
+let test_result_retention_bounded () =
+  let p = (Workload.Registry.find "water_nsquared").Workload.Registry.program in
+  let r = Runtime.Run.run Runtime.Run.consequence_ic ~nthreads:32 p in
+  check_bool "thousands of sync events" true (r.Stats.Run_result.trace_events > 5_000);
+  let words = Obj.reachable_words (Obj.repr r) in
+  if words > 2_000 then Alcotest.failf "run result retains %d words (bound 2000)" words
 
 let prop_scaled_monotone =
   QCheck.Test.make ~name:"scaled is monotone in the scale factor" ~count:100
@@ -315,6 +344,7 @@ let () =
           Alcotest.test_case "reproducible scripts" `Quick test_synthetic_same_seed_same_script;
           Alcotest.test_case "lock heavy" `Quick test_synthetic_lock_heavy;
           Alcotest.test_case "schedule exposed" `Quick test_schedule_exposed;
+          Alcotest.test_case "result retention bounded" `Quick test_result_retention_bounded;
           QCheck_alcotest.to_alcotest prop_synthetic_deterministic;
         ] );
     ]
