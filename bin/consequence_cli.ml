@@ -14,7 +14,7 @@
      record    record a schedule log (<name>.schedule.json)
      replay    replay a schedule log with divergence detection
      explore   perturb a recorded schedule and cross-check the variants
-     tune      offline auto-tuner: search per-workload controller params,
+     tune      offline auto-tuner: search per-workload static knob points,
                inspect saved tuned profiles *)
 
 open Cmdliner
@@ -79,13 +79,13 @@ let find_program name =
 
 (* --- run -------------------------------------------------------------- *)
 
-(* Apply a saved tuned profile to the selected runtime's config (the
-   self-tuning controller runs online with the profile's params). *)
-let with_profile profile runtime =
+(* Apply a saved tuned profile's static knobs to the selected runtime's
+   config.  A profile only describes the workload it was searched for. *)
+let with_profile ~name profile runtime =
   match profile with
   | None -> Ok runtime
   | Some file -> (
-      match Tune.Profiles.load file with
+      match Tune.Profiles.load_for ~workload:name file with
       | Error e -> Error (Printf.sprintf "%s: %s" file e)
       | Ok p -> (
           match runtime with
@@ -100,13 +100,14 @@ let profile_file_arg =
     & info [ "profile" ] ~docv:"FILE"
         ~doc:
           "Tuned profile (tune/profiles/<workload>.tune.json, produced by tune search); \
-           runs the self-tuning controller with the profile's parameters.")
+           runs with the profile's overflow and coarsening knobs.  The profile must be \
+           for the benchmark being run.")
 
 let run_cmd =
   let action runtime threads seed name breakdown metrics json jobs profile =
     apply_jobs jobs;
     match Result.bind (find_program name) (fun program ->
-        Result.map (fun rt -> (program, rt)) (with_profile profile runtime)) with
+        Result.map (fun rt -> (program, rt)) (with_profile ~name profile runtime)) with
     | Error e ->
         prerr_endline e;
         exit 1
@@ -618,6 +619,12 @@ let explore_cmd =
 let tune_search_cmd =
   let action threads seed quick out jobs names =
     apply_jobs jobs;
+    (* Profiles record both as provenance, and the profile reader
+       rejects values below 1. *)
+    if threads < 1 || seed < 1 then begin
+      prerr_endline "tune search: -t and -s must be >= 1";
+      exit 1
+    end;
     let names = if names = [] then Workload.Registry.names else names in
     (match List.find_opt (fun n -> not (List.mem n Workload.Registry.names)) names with
     | Some bad ->
@@ -659,8 +666,8 @@ let tune_search_cmd =
       value & flag
       & info [ "quick" ]
           ~doc:
-            "Shorten the hill-climb and skip the random restarts and exploration floor \
-             (the CI smoke setting).")
+            "Skip the exploration floor of the winner check (the CI smoke setting); the \
+             search itself is unchanged.")
   in
   let out_arg =
     Arg.(
@@ -675,10 +682,9 @@ let tune_search_cmd =
   Cmd.v
     (Cmd.info "search"
        ~doc:
-         "Auto-tune the self-tuning controller's parameters per workload by simulated \
-          wall time (hand grid + profile-derived candidate + seeded hill-climb), \
-          cross-check each winner (seed stability, replay-checked Tune_decision events), \
-          and save tuned profiles.")
+         "Auto-tune the overflow and coarsening knobs per workload by simulated wall time \
+          (hand grid, then a deterministic steepest descent), cross-check each winner \
+          (seed stability, scripted replay), and save tuned profiles.")
     Term.(
       const action $ threads_arg $ seed_arg $ quick_arg $ out_arg $ jobs_arg $ names_arg)
 
@@ -703,8 +709,8 @@ let tune_cmd =
   Cmd.group
     (Cmd.info "tune"
        ~doc:
-         "Self-tuning runtime: offline search for per-workload controller parameters and \
-          inspection of the saved profiles (apply one with run --profile).")
+         "Offline auto-tuner: search for per-workload static knob points and inspection \
+          of the saved profiles (apply one with run --profile).")
     [ tune_search_cmd; tune_show_cmd ]
 
 (* --- check ------------------------------------------------------------ *)

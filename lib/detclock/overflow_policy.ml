@@ -4,7 +4,7 @@ type kind =
   | Scripted of int array
 
 type t = {
-  mutable kind : kind;
+  kind : kind;
   mutable interval : int;
   mutable scheduled : int;
   mutable cursor : int;
@@ -53,7 +53,7 @@ let next_interval ?(ic = 0) t ~waiter_gap =
         t.cursor <- t.cursor + 1
       done;
       if t.cursor < n then b.(t.cursor) - ic else horizon
-  | Adaptive _ ->
+  | Adaptive { cap; _ } ->
       if waiter_gap > 0 then begin
         (* Rule 2: overflow exactly when our clock exceeds the waiter's. *)
         t.interval <- waiter_gap;
@@ -63,23 +63,9 @@ let next_interval ?(ic = 0) t ~waiter_gap =
         (* Rule 3: nobody to notify soon; back off exponentially, but
            bounded so waiters are never stranded behind a huge
            interval. *)
-        let cap = match t.kind with Adaptive { cap; _ } -> cap | Fixed n -> n | Scripted _ -> horizon in
         let n = t.interval in
         t.interval <- min cap (t.interval * 2);
         n
       end
-
-let retarget t ~base ~cap =
-  if base <= 0 || cap < base then invalid_arg "Overflow_policy.retarget: need 0 < base <= cap";
-  match t.kind with
-  | Adaptive _ ->
-      t.kind <- Adaptive { base; cap };
-      t.interval <- min base cap
-  | Fixed _ -> t.kind <- Fixed base
-  | Scripted _ ->
-      (* A scripted schedule is a replay contract: recorded boundaries
-         win over knob changes (the controller's decisions are re-applied
-         but the boundary stream is already pinned). *)
-      ()
 
 let overflows_scheduled t = t.scheduled

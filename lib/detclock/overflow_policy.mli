@@ -9,15 +9,17 @@
 
     The adaptive policy implements the paper's three rules:
     + at the start of each chunk the interval resets to a conservative
-      base (5,000 retired instructions);
+      base ({!default_base} unless configured);
     + if some thread is waiting to become GMIC and we are ahead of
       nothing — i.e. we are the thread everyone waits for — the next
       overflow is placed exactly where our clock passes the next-lowest
       waiter's clock;
-    + otherwise the interval doubles.
+    + otherwise the interval doubles, up to a cap.
 
     A [Fixed] policy is provided for the Fig 13 ablation (adaptive
-    overflows disabled). *)
+    overflows disabled).  A policy's kind and its base and cap are fixed
+    at {!create}; the runtime takes them from its configuration (the
+    paper's defaults, or a tuned profile's static point). *)
 
 type kind =
   | Adaptive of { base : int; cap : int }
@@ -61,15 +63,6 @@ val next_interval : ?ic:int -> t -> waiter_gap:int -> int
     retired-instruction count; only [Scripted] policies read it, to place
     the next overflow at the next recorded boundary.  Always returns a
     value >= 1. *)
-
-val retarget : t -> base:int -> cap:int -> unit
-(** Re-aim the policy mid-run (the self-tuning controller's knob).
-    [Adaptive] policies adopt the new base/cap and restart the backoff at
-    [min base cap]; [Fixed] policies adopt [base] as the new interval;
-    [Scripted] policies ignore the call — a replay's recorded boundary
-    stream wins over knob changes.  Like every overflow decision this
-    affects real time only, never determinism.  Requires
-    [0 < base <= cap]. *)
 
 val overflows_scheduled : t -> int
 (** Total intervals handed out; a proxy for interrupt overhead. *)

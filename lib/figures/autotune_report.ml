@@ -1,5 +1,5 @@
-(* Default vs controller vs searched vs best-hand-tuned simulated time
-   over the workload registry: the auto-tuner's report card.
+(* Default vs searched vs best-hand-tuned simulated time over the
+   workload registry: the auto-tuner's report card.
 
    The acceptance bar the notes spell out: the searched configuration
    must be within 5% of the best hand-tuned grid point on every
@@ -21,7 +21,6 @@ let run ?(benchmarks = Workload.Registry.names) ?(threads = 8) ?(seed = 1) ?(qui
         [
           "workload";
           "default-ns";
-          "controller-ns";
           "searched-ns";
           "hand-best-ns";
           "hand-best";
@@ -38,7 +37,6 @@ let run ?(benchmarks = Workload.Registry.names) ?(threads = 8) ?(seed = 1) ?(qui
         [
           r.Tune.Search.workload;
           string_of_int r.Tune.Search.wall_default_ns;
-          string_of_int r.Tune.Search.wall_controller_ns;
           string_of_int r.Tune.Search.wall_searched_ns;
           string_of_int r.Tune.Search.wall_hand_best_ns;
           r.Tune.Search.hand_best_name;
@@ -78,7 +76,7 @@ let run ?(benchmarks = Workload.Registry.names) ?(threads = 8) ?(seed = 1) ?(qui
   in
   {
     Fig_output.id = "autotune";
-    title = "replay-driven auto-tuning: default vs controller vs searched vs hand grid";
+    title = "replay-driven auto-tuning: default vs searched vs hand grid";
     tables = [ ("simulated wall time by tuning strategy", table) ];
     notes =
       [
@@ -91,12 +89,12 @@ let run ?(benchmarks = Workload.Registry.names) ?(threads = 8) ?(seed = 1) ?(qui
           beat_default n;
         Printf.sprintf
           "%s: every winner's witness is identical across seeds, and its scripted replay \
-           re-checks each Tune_decision against the pure (params, epoch) prediction"
+           matches the recording event by event"
           (if all_stable && all_replay_ok then "PASS" else "FAIL");
         Printf.sprintf
-          "%d simulated evaluations total (%s search); controller decisions are pure \
-           functions of (params, epoch), so all five runtimes make identical choices — \
-           mem/output hashes agree everywhere, full witnesses within {ic, pipe, domains}"
+          "%d simulated evaluations total (%s search); a winner is a static knob point set \
+           before the run, so the runtime adapts online only through its own per-thread \
+           coarsening and overflow policies"
           total_evals
           (if quick then "quick" else "full");
       ];

@@ -107,7 +107,7 @@ let observer t (ev : Runtime.Rt_event.t) =
       end
   | Runtime.Rt_event.Conflict _ -> ()
   | Runtime.Rt_event.Boundary _ | Runtime.Rt_event.Commit_hash _
-  | Runtime.Rt_event.Txn_abort _ | Runtime.Rt_event.Tune_decision _ ->
+  | Runtime.Rt_event.Txn_abort _ ->
       (* Scheduling/replay bookkeeping carries no propagation edges. *)
       ()
 

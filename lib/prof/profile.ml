@@ -154,9 +154,8 @@ let total_share t st =
   if life = 0 then 0.0 else float_of_int t.totals.(St.index st) /. float_of_int life
 
 (* The one shared derivation of "what fraction of the busy time went
-   where": every consumer (report tables, what-if baselines, the
-   self-tuning controller's profile-to-params mapping) reads this so
-   their percentages cannot drift apart. *)
+   where": every consumer (report tables, what-if baselines, the CLI
+   sweep) reads this so their percentages cannot drift apart. *)
 let state_shares t =
   let busy = Array.fold_left ( + ) 0 t.totals in
   List.map

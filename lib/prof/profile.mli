@@ -75,10 +75,9 @@ val total_share : t -> Obs.Thread_state.t -> float
 val state_shares : t -> (Obs.Thread_state.t * float) list
 (** Each state's fraction of the {e total busy time} (sum of [totals]),
     in {!Obs.Thread_state.all} order; fractions sum to 1 (or all-zero on
-    an empty profile).  The single shared derivation behind the report's
-    percentage columns and the self-tuning controller's
-    profile-to-params mapping — consumers must not re-derive shares from
-    raw totals. *)
+    an empty profile).  The single shared derivation behind the
+    report's percentage columns — consumers must not re-derive shares
+    from raw totals. *)
 
 val state_share : t -> Obs.Thread_state.t -> float
 (** [List.assoc st (state_shares t)] with a 0 default. *)

@@ -76,7 +76,7 @@ let released_count t tid =
 
 let observer t ev =
   match ev with
-  | Ev.Boundary _ | Ev.Commit_hash _ | Ev.Txn_abort _ | Ev.Tune_decision _ ->
+  | Ev.Boundary _ | Ev.Commit_hash _ | Ev.Txn_abort _ ->
       (* Scheduling/replay bookkeeping, not happens-before edges: keep
          the detector's event accounting identical to pre-replay runs. *)
       ()
@@ -84,7 +84,7 @@ let observer t ev =
   t.n_events <- t.n_events + 1;
   Obs.Metrics.count t.m_events 1;
   match ev with
-  | Ev.Boundary _ | Ev.Commit_hash _ | Ev.Txn_abort _ | Ev.Tune_decision _ -> ()
+  | Ev.Boundary _ | Ev.Commit_hash _ | Ev.Txn_abort _ -> ()
   | Ev.Release { tid; obj } ->
       let c = thread_vc t tid in
       if t.dmode = Full_vector then begin

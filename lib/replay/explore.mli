@@ -56,8 +56,8 @@ val explore :
     PRNG seeded by [seed] (default 7; exploration itself is
     deterministic), replay each, and cross-check.  [config] overrides
     the preset lookup on the log's runtime name — the hook the offline
-    auto-tuner ([Tune.Search]) uses to explore logs recorded under
-    non-preset configs (e.g. a ["-tuned"] controller config).  Raises
+    auto-tuner ([Tune.Search]) uses to explore logs recorded at a
+    tuned knob point, which keeps its preset's name.  Raises
     [Invalid_argument] for a [pthreads] log — its schedule is pinned by
     the seed alone and has no boundaries to perturb. *)
 

@@ -13,6 +13,8 @@ type t = {
   commit_cost_mult : float;
   coarsening : coarsening;
   adaptive_overflow : bool;
+  overflow_base : int;
+  overflow_cap : int;
   userspace_reads : bool;
   fast_forward : bool;
   parallel_barrier : bool;
@@ -29,7 +31,6 @@ type t = {
   coarsen_max_cap : int;
   ewma_alpha : float;
   scheduling : scheduling;
-  tune : Tune_ctl.params option;
 }
 
 let base =
@@ -42,6 +43,8 @@ let base =
     commit_cost_mult = 1.0;
     coarsening = Adaptive;
     adaptive_overflow = true;
+    overflow_base = Detclock.Overflow_policy.default_base;
+    overflow_cap = Detclock.Overflow_policy.default_cap;
     userspace_reads = true;
     fast_forward = true;
     parallel_barrier = true;
@@ -58,7 +61,6 @@ let base =
     coarsen_max_cap = 2_000_000;
     ewma_alpha = 0.3;
     scheduling = Emergent;
-    tune = None;
   }
 
 let consequence_ic = { base with name = "consequence-ic" }
@@ -142,21 +144,3 @@ let with_scripted_schedule t ~boundaries =
   { t with name = t.name ^ "-replay"; scheduling = Scripted boundaries }
 
 let scripted t = match t.scheduling with Scripted _ -> true | Emergent -> false
-
-let with_adaptive_tuning ?(params = Tune_ctl.default) t =
-  Tune_ctl.validate params;
-  { t with name = t.name ^ "-tuned"; tune = Some params }
-
-let without_adaptive_tuning t =
-  match t.tune with
-  | None -> t
-  | Some _ ->
-      let name =
-        let suffix = "-tuned" in
-        let nl = String.length t.name and sl = String.length suffix in
-        if nl >= sl && String.sub t.name (nl - sl) sl = suffix then String.sub t.name 0 (nl - sl)
-        else t.name
-      in
-      { t with name; tune = None }
-
-let tuned t = match t.tune with Some _ -> true | None -> false

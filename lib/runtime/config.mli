@@ -16,7 +16,15 @@
       ordering plus all optimizations of section 3.
 
     Every optimization is independently toggleable for the Fig 13
-    ablation study. *)
+    ablation study.
+
+    Five numeric knobs size the two adaptive policies: [overflow_base]
+    and [overflow_cap] (section 3.2) and the three [coarsen_max_*]
+    bounds (section 3.1).  The presets use the paper's values; a tuned
+    profile ([Tune.Profiles], found offline by [Tune.Search]) replaces
+    them with a per-workload static point before the run starts.  The
+    policies keep adapting online, per thread, inside those bounds;
+    nothing changes the knobs mid-run. *)
 
 type ordering = Round_robin | Instruction_count
 
@@ -54,6 +62,14 @@ type t = {
   commit_cost_mult : float;
   coarsening : coarsening;
   adaptive_overflow : bool;  (** section 3.2; false = fixed overflow interval *)
+  overflow_base : int;
+      (** overflow interval at each chunk start (adaptive rule 1), and
+          the whole interval when [adaptive_overflow] is false; default
+          {!Detclock.Overflow_policy.default_base} *)
+  overflow_cap : int;
+      (** bound on the adaptive rule-3 doubling; default
+          {!Detclock.Overflow_policy.default_cap}.  [0 < overflow_base <=
+          overflow_cap]. *)
   userspace_reads : bool;  (** section 3.4 *)
   fast_forward : bool;  (** section 3.5 *)
   parallel_barrier : bool;  (** section 4.2 two-phase barrier commit *)
@@ -100,18 +116,11 @@ type t = {
   coarsen_max_initial : int;  (** initial adaptive max coarsened-chunk length *)
   coarsen_max_floor : int;
   coarsen_max_cap : int;
+      (** multiplicative increase/decrease of the coarsening budget stays
+          within [[coarsen_max_floor, coarsen_max_cap]], which must
+          contain [coarsen_max_initial] *)
   ewma_alpha : float;  (** weight of the newest sample in chunk estimates *)
   scheduling : scheduling;
-  tune : Tune_ctl.params option;
-      (** [Some p]: the self-tuning controller is on — at each
-          retired-instruction milestone ([epoch * p.period], enforced
-          exactly by clamping overflow intervals) every thread applies
-          the pure decision {!Tune_ctl.decide}, retargeting its overflow
-          policy and coarsening bounds and emitting a replay-checked
-          {!Rt_event.Tune_decision}.  Orthogonal to [scheduling]: a
-          scripted replay of a tuned run keeps the controller on, so the
-          recorded decisions are re-derived and re-checked.  [None]
-          (default): static knobs. *)
 }
 
 val dthreads : t
@@ -149,14 +158,3 @@ val with_scripted_schedule : t -> boundaries:int array array -> t
     given retired-instruction counts (see {!scheduling}). *)
 
 val scripted : t -> bool
-
-val with_adaptive_tuning : ?params:Tune_ctl.params -> t -> t
-(** Turn the self-tuning controller on (appends ["-tuned"] to the
-    name).  [params] defaults to {!Tune_ctl.default}, whose steady
-    state is the hand-tuned static configuration.
-    @raise Invalid_argument on malformed params. *)
-
-val without_adaptive_tuning : t -> t
-(** Turn the controller back off (strips a trailing ["-tuned"]). *)
-
-val tuned : t -> bool

@@ -29,18 +29,6 @@ type thread_state = {
   mutable coarsen_ops : int;
   mutable coarsen_start_instr : int;
   mutable coarsen_max : int;
-  mutable coarsen_floor : int;
-      (* MI/MD bounds for [coarsen_max].  Copied from the config at
-         creation; the self-tuning controller retargets them per thread
-         at its milestones. *)
-  mutable coarsen_cap : int;
-  (* Self-tuning controller (Tune_ctl) state *)
-  mutable tune_epoch : int; (* next decision ordinal to apply *)
-  mutable tune_next_at : int;
-      (* retired-instruction milestone of the next decision; [max_int]
-         once the annealing schedule is exhausted (or tuning is off).
-         Overflow intervals are clamped to never cross it, so decisions
-         apply at instruction-exact points on every backend. *)
   (* Lifecycle *)
   mutable exited : bool;
   mutable parked : bool;
@@ -480,45 +468,6 @@ let counter_read rt th =
   publish rt th ~overflow:false
 
 (* ------------------------------------------------------------------ *)
-(* Self-tuning controller (Tune_ctl) application                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Apply the controller decision for [th.tune_epoch] and schedule the
-   next milestone.  Pure in its inputs — (params, epoch) — so every
-   backend computes identical values; the knobs it writes are the
-   overflow policy target (real-time only) and the coarsening budget
-   and its MI/MD bounds (witness-affecting, which is why the decision
-   is emitted as a replay-checked event).  Costs nothing: the milestone
-   overflow interrupt that delivers it is already charged. *)
-let tune_apply rt th =
-  match rt.cfg.Config.tune with
-  | None -> ()
-  | Some p ->
-      let epoch = th.tune_epoch in
-      let d = Tune_ctl.decide p ~epoch in
-      Ofp.retarget th.ofp ~base:d.Tune_ctl.chunk_base ~cap:d.Tune_ctl.chunk_cap;
-      th.coarsen_floor <- d.Tune_ctl.coarsen_floor;
-      th.coarsen_cap <- d.Tune_ctl.coarsen_cap;
-      th.coarsen_max <- max d.Tune_ctl.coarsen_floor (min d.Tune_ctl.coarsen_cap d.Tune_ctl.coarsen);
-      th.tune_epoch <- epoch + 1;
-      th.tune_next_at <-
-        (if epoch + 1 > Tune_ctl.final_epoch p then max_int
-         else Tune_ctl.milestone p ~epoch:(epoch + 1));
-      if emitting rt then
-        emit rt
-          (Rt_event.Tune_decision
-             {
-               tid = th.tid;
-               epoch;
-               ic = th.instr_retired;
-               chunk_base = d.Tune_ctl.chunk_base;
-               chunk_cap = d.Tune_ctl.chunk_cap;
-               coarsen = d.Tune_ctl.coarsen;
-               coarsen_floor = d.Tune_ctl.coarsen_floor;
-               coarsen_cap = d.Tune_ctl.coarsen_cap;
-             })
-
-(* ------------------------------------------------------------------ *)
 (* Commit / update with cost charging                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -940,8 +889,8 @@ let enter_coordination rt th =
      (section 3.1). *)
   (if rt.cfg.coarsening = Config.Adaptive then
      if rt.last_coord_entrant = th.tid then
-       th.coarsen_max <- min th.coarsen_cap (th.coarsen_max * 2)
-     else th.coarsen_max <- max th.coarsen_floor (th.coarsen_max / 2));
+       th.coarsen_max <- min rt.cfg.coarsen_max_cap (th.coarsen_max * 2)
+     else th.coarsen_max <- max rt.cfg.coarsen_max_floor (th.coarsen_max / 2));
   rt.last_coord_entrant <- th.tid
 
 let leave_coordination rt th =
@@ -999,13 +948,6 @@ let rec consume rt th n =
        (the net-loss case acknowledged in section 3.1). *)
     if th.coarsen_holding && th.instr_retired - th.coarsen_start_instr > th.coarsen_max then
       end_coarsen rt th;
-    (* Controller milestones are instruction-exact: the clamp below
-       guarantees an overflow publication lands on each one, so by the
-       time we are at-or-past a milestone the pending decision applies
-       before any further instruction retires. *)
-    while th.instr_retired >= th.tune_next_at do
-      tune_apply rt th
-    done;
     (if th.next_overflow_in <= 0 then
        (* Both queries are O(1) reads of the incremental clock indexes:
           no fold, no closure, no list. *)
@@ -1014,15 +956,7 @@ let rec consume rt th n =
            Lc.next_waiting_gap rt.clocks ~tid:th.tid
          else 0
        in
-       th.next_overflow_in <- Ofp.next_interval ~ic:th.instr_retired th.ofp ~waiter_gap:gap;
-       (* Never cross a controller milestone: overflow placement is
-          real-time-only, so forcing a boundary exactly there is free
-          determinism-wise, and it pins decision application to the same
-          instruction on every backend — including under a scripted
-          (possibly perturbed) replay, where the recorded stream might
-          otherwise skip the milestone. *)
-       if th.tune_next_at < max_int && th.next_overflow_in > th.tune_next_at - th.instr_retired
-       then th.next_overflow_in <- th.tune_next_at - th.instr_retired);
+       th.next_overflow_in <- Ofp.next_interval ~ic:th.instr_retired th.ofp ~waiter_gap:gap);
     let step = min n th.next_overflow_in in
     if is_real rt then begin
       (* Execute the chunk's instructions for real, with the runtime
@@ -1570,14 +1504,13 @@ and new_thread_state rt ~tid ~name ~inherit_count =
     | Config.Scripted bounds when tid < Array.length bounds -> Ofp.Scripted bounds.(tid)
     | Config.Scripted _ | Config.Emergent ->
         if rt.cfg.adaptive_overflow then
-          Ofp.Adaptive { base = Ofp.default_base; cap = Ofp.default_cap }
-        else Ofp.Fixed Ofp.default_base
+          Ofp.Adaptive { base = rt.cfg.overflow_base; cap = rt.cfg.overflow_cap }
+        else Ofp.Fixed rt.cfg.overflow_base
   in
   let ws = Vmem.Workspace.create rt.seg ~tid in
   (* Conflict capture only feeds the event stream: pay the extra merge
      scan only when somebody is listening. *)
   if emitting rt then Vmem.Workspace.set_track_conflicts ws true;
-  let th =
   {
     tid;
     name;
@@ -1596,10 +1529,6 @@ and new_thread_state rt ~tid ~name ~inherit_count =
     coarsen_ops = 0;
     coarsen_start_instr = 0;
     coarsen_max = rt.cfg.coarsen_max_initial;
-    coarsen_floor = rt.cfg.coarsen_max_floor;
-    coarsen_cap = rt.cfg.coarsen_max_cap;
-    tune_epoch = 0;
-    tune_next_at = max_int;
     exited = false;
     parked = false;
     joiner = None;
@@ -1623,12 +1552,6 @@ and new_thread_state rt ~tid ~name ~inherit_count =
     wall_commit = 0;
     wall_update = 0;
   }
-  in
-  (* Epoch-0 decision at thread start: every thread in every backend
-     begins from the controller's warmup point (and emits the event),
-     before its first instruction retires. *)
-  if rt.cfg.Config.tune <> None then tune_apply rt th;
-  th
 
 and thread_exit rt th =
   enter_coordination rt th;

@@ -14,16 +14,6 @@ type t =
   | Boundary of { tid : int; ic : int; overflow : bool }
   | Commit_hash of { tid : int; version : int; hash : string }
   | Txn_abort of { tid : int; seq : int; retries : int }
-  | Tune_decision of {
-      tid : int;
-      epoch : int;
-      ic : int;
-      chunk_base : int;
-      chunk_cap : int;
-      coarsen : int;
-      coarsen_floor : int;
-      coarsen_cap : int;
-    }
 
 type observer = t -> unit
 
@@ -42,7 +32,6 @@ let label = function
       Printf.sprintf "%s:%d" (if overflow then "overflow" else "chunk-end") ic
   | Commit_hash { version; _ } -> Printf.sprintf "hash:v%d" version
   | Txn_abort { seq; retries; _ } -> Printf.sprintf "txn-abort:%d.%d" seq retries
-  | Tune_decision { epoch; ic; _ } -> Printf.sprintf "tune:e%d@%d" epoch ic
 
 let tid = function
   | Commit { tid; _ }
@@ -51,8 +40,7 @@ let tid = function
   | Conflict { tid; _ }
   | Boundary { tid; _ }
   | Commit_hash { tid; _ }
-  | Txn_abort { tid; _ }
-  | Tune_decision { tid; _ } ->
+  | Txn_abort { tid; _ } ->
       tid
 
 let pp ppf ev =
@@ -70,11 +58,6 @@ let pp ppf ev =
   | Commit_hash { tid; version; hash } -> Format.fprintf ppf "hash t%d v%d %s" tid version hash
   | Txn_abort { tid; seq; retries } ->
       Format.fprintf ppf "txn-abort t%d seq=%d retries=%d" tid seq retries
-  | Tune_decision { tid; epoch; ic; chunk_base; chunk_cap; coarsen; coarsen_floor; coarsen_cap }
-    ->
-      Format.fprintf ppf
-        "@[tune t%d e%d ic=%d chunk=%d..%d coarsen=%d[%d..%d]@]" tid epoch ic chunk_base
-        chunk_cap coarsen coarsen_floor coarsen_cap
 
 let to_json ev : Obs.Json.t =
   let open Obs.Json in
@@ -126,20 +109,6 @@ let to_json ev : Obs.Json.t =
           ("tid", Int tid);
           ("seq", Int seq);
           ("retries", Int retries);
-        ]
-  | Tune_decision { tid; epoch; ic; chunk_base; chunk_cap; coarsen; coarsen_floor; coarsen_cap }
-    ->
-      Obj
-        [
-          ("kind", String "tune_decision");
-          ("tid", Int tid);
-          ("epoch", Int epoch);
-          ("ic", Int ic);
-          ("chunk_base", Int chunk_base);
-          ("chunk_cap", Int chunk_cap);
-          ("coarsen", Int coarsen);
-          ("coarsen_floor", Int coarsen_floor);
-          ("coarsen_cap", Int coarsen_cap);
         ]
 
 (* Inverse of [to_json]; the schedule logs of [lib/replay] round-trip
@@ -208,16 +177,4 @@ let of_json (j : Obs.Json.t) : (t, string) result =
       let* seq = int "seq" in
       let* retries = int "retries" in
       Ok (Txn_abort { tid; seq; retries })
-  | "tune_decision" ->
-      let* tid = int "tid" in
-      let* epoch = int "epoch" in
-      let* ic = int "ic" in
-      let* chunk_base = int "chunk_base" in
-      let* chunk_cap = int "chunk_cap" in
-      let* coarsen = int "coarsen" in
-      let* coarsen_floor = int "coarsen_floor" in
-      let* coarsen_cap = int "coarsen_cap" in
-      Ok
-        (Tune_decision
-           { tid; epoch; ic; chunk_base; chunk_cap; coarsen; coarsen_floor; coarsen_cap })
   | other -> Error (Printf.sprintf "rt_event: unknown kind %S" other)

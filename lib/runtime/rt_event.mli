@@ -65,25 +65,6 @@ type t =
           these events are part of the replay-checked stream — a replay
           that aborts differently diverges.  Emitted outside the token,
           like [Boundary], and only to an [observer]. *)
-  | Tune_decision of {
-      tid : int;
-      epoch : int;  (** decision ordinal: 0 at thread start, then one
-                        per milestone *)
-      ic : int;  (** the retired-instruction milestone the decision
-                     applies at ([epoch * period], exact on every
-                     backend) *)
-      chunk_base : int;
-      chunk_cap : int;
-      coarsen : int;
-      coarsen_floor : int;
-      coarsen_cap : int;
-    }
-      (** the self-tuning controller ({!Tune_ctl}) applied a knob
-          decision.  Decisions are a pure function of (params, epoch),
-          so the stream is identical across runtimes and seeds; like
-          [Txn_abort] they are replay-checked — a replay whose
-          controller decides differently diverges.  Emitted outside the
-          token, observer-only. *)
 
 type observer = t -> unit
 

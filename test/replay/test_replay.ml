@@ -315,42 +315,6 @@ let test_kv_abort_events_recorded_and_checked () =
   | None -> Alcotest.fail "corrupted abort event replayed without divergence"
   | Some d -> check_int "localized to the corrupted abort" i d.Rep.index
 
-let test_tune_decisions_recorded_and_checked () =
-  (* With the self-tuning controller on, each milestone decision is a
-     first-class deterministic event: the recording must carry one per
-     (thread, epoch), a scripted replay — with the tune params still in
-     the config, since "-tuned" is not a preset name — must re-derive
-     and match every one, and corrupting a decision's coarsening value
-     must be flagged at exactly that stream position. *)
-  let prog = program_of "kmeans" in
-  let tuned = Runtime.Config.with_adaptive_tuning Runtime.Config.consequence_ic in
-  let log, _ = Sch.record (Runtime.Run.Det tuned) ~seed:3 ~nthreads:8 prog in
-  let decisions =
-    Array.fold_left
-      (fun n ev -> match ev with Ev.Tune_decision _ -> n + 1 | _ -> n)
-      0 log.Sch.events
-  in
-  check_bool "decisions recorded" true (decisions > 0);
-  let scripted =
-    Runtime.Config.with_scripted_schedule tuned ~boundaries:(Sch.boundaries log)
-  in
-  let o = Rep.replay ~runtime:(Runtime.Run.Det scripted) log prog in
-  check_bool "faithful replay" true (Rep.ok o);
-  check_int "every event checked" (Sch.length log) o.Rep.checked;
-  let events = Array.copy log.Sch.events in
-  let i = find_event events (function Ev.Tune_decision _ -> true | _ -> false) in
-  (match events.(i) with
-  | Ev.Tune_decision { tid; epoch; ic; chunk_base; chunk_cap; coarsen; coarsen_floor; coarsen_cap }
-    ->
-      events.(i) <-
-        Ev.Tune_decision
-          { tid; epoch; ic; chunk_base; chunk_cap; coarsen = coarsen + 1; coarsen_floor; coarsen_cap }
-  | _ -> assert false);
-  let o = Rep.replay ~runtime:(Runtime.Run.Det scripted) { log with Sch.events } prog in
-  match o.Rep.divergence with
-  | None -> Alcotest.fail "corrupted tune decision replayed without divergence"
-  | Some d -> check_int "localized to the corrupted decision" i d.Rep.index
-
 (* ------------------------------------------------------------------ *)
 (* JSON round-trips                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -377,13 +341,6 @@ let gen_event =
         short_string;
       map3 (fun tid seq retries -> Ev.Txn_abort { tid; seq; retries }) tid (int_bound 10_000)
         (int_bound 32);
-      map3
-        (fun (tid, epoch) (ic, (chunk_base, chunk_cap)) (coarsen, (coarsen_floor, coarsen_cap)) ->
-          Ev.Tune_decision
-            { tid; epoch; ic; chunk_base; chunk_cap; coarsen; coarsen_floor; coarsen_cap })
-        (pair tid (int_bound 12))
-        (pair (int_bound 1_000_000) (pair (int_bound 100_000) (int_bound 1_000_000)))
-        (pair (int_bound 1_000_000) (pair (int_bound 100_000) (int_bound 4_000_000)));
     ]
 
 let arb_event = QCheck.make ~print:(Format.asprintf "%a" Ev.pp) gen_event
@@ -515,8 +472,6 @@ let () =
             test_divergence_localizes_commit_hash;
           Alcotest.test_case "shifted chunk-end localized" `Quick
             test_divergence_localizes_chunk_end;
-          Alcotest.test_case "tune decisions recorded and checked" `Quick
-            test_tune_decisions_recorded_and_checked;
           Alcotest.test_case "kv abort events recorded and checked" `Quick
             test_kv_abort_events_recorded_and_checked;
           Alcotest.test_case "truncated log flagged" `Quick

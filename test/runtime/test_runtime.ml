@@ -942,7 +942,7 @@ let test_read_into_matches_read () =
       Alcotest.(check (list string)) (name ^ " same range error") e_read e_into)
     R.names
 
-(* --- Self-tuning controller (lib/tune) --------------------------------- *)
+(* --- Tuned knob points (lib/tune) --------------------------------------- *)
 
 let test_run_names_cover_presets () =
   (* The full resolvable runtime set must round-trip name <-> preset and
@@ -960,9 +960,10 @@ let test_run_names_cover_presets () =
   check_bool "unknown name rejected" true (R.of_name "no-such-runtime" = None);
   Alcotest.(check int) "seven resolvable runtimes" 7 (List.length R.names)
 
-(* The five runtimes of the controller's cross-runtime identity claim. *)
+(* The five runtimes of the tuned cross-runtime identity claim, each at
+   the static knob point [params]. *)
 let tuned_runtimes params =
-  let tuned cfg = Runtime.Config.with_adaptive_tuning ~params cfg in
+  let tuned cfg = Tune.Profiles.with_params params cfg in
   [
     ("ic", R.Det (tuned Runtime.Config.consequence_ic));
     ("rr", R.Det (tuned Runtime.Config.consequence_rr));
@@ -971,105 +972,19 @@ let tuned_runtimes params =
     ("domains", R.Domains (tuned Runtime.Config.consequence_ic));
   ]
 
-let decision_run rt ~seed program =
-  let evs = ref [] in
-  let observer ev =
-    match ev with Runtime.Rt_event.Tune_decision _ -> evs := ev :: !evs | _ -> ()
-  in
-  let r = R.run rt ~seed ~nthreads:8 ~observer program in
-  (r, Tune.Controller.of_events (List.rev !evs))
-
-let decision_streams rt ~seed program = snd (decision_run rt ~seed program)
-
-(* The acceptance property of the online controller: because decisions
-   are a pure function of (params, epoch), every runtime backend — DES
-   instruction-count, round-robin, pipelined commit, DThreads fences,
-   real OCaml 5 domains — produces byte-identical per-thread decision
-   streams on every seed, each a prefix of the pure prediction. *)
-let check_controller_decisions_identical params bench =
-  let program = (Workload.Registry.find bench).Workload.Registry.program in
-  List.iter
-    (fun seed ->
-      let streams =
-        List.map
-          (fun (label, rt) -> (label, decision_streams rt ~seed program))
-          (tuned_runtimes params)
-      in
-      let _, reference = List.hd streams in
-      check_bool (Printf.sprintf "%s seed=%d decisions recorded" bench seed) true
-        (reference <> []);
-      List.iter
-        (fun (label, s) ->
-          check_bool
-            (Printf.sprintf "%s seed=%d %s decisions identical to ic" bench seed label)
-            true (s = reference))
-        (List.tl streams))
-    [ 1; 7 ]
-
-(* The exact form of the property, for any workload.  A decision applies
-   when its thread retires an instruction at-or-past the milestone, so
-   each thread's stream is the prediction cut at its own retired count.
-   That count legitimately differs between token-ordering disciplines —
-   under round-robin, queue items can go to other threads than under
-   instruction-count order — so only the consequence-ic family {ic, pipe,
-   domains} must also agree stream for stream. *)
-let check_controller_decisions_exact params bench =
-  let program = (Workload.Registry.find bench).Workload.Registry.program in
-  let predicted = Tune.Controller.predicted params in
-  List.iter
-    (fun seed ->
-      let streams =
-        List.map
-          (fun (label, rt) ->
-            let r, streams = decision_run rt ~seed program in
-            List.iter
-              (fun (ts : Res.thread_stat) ->
-                let want =
-                  List.filter (fun (a : Tune.Controller.applied) -> a.ic < ts.instructions) predicted
-                in
-                check_bool
-                  (Printf.sprintf "%s seed=%d %s tid %d = prediction below ic %d" bench seed label
-                     ts.tid ts.instructions)
-                  true
-                  (Option.value (List.assoc_opt ts.tid streams) ~default:[] = want))
-              r.Res.per_thread;
-            check_bool
-              (Printf.sprintf "%s seed=%d %s decisions only from known threads" bench seed label)
-              true
-              (List.for_all
-                 (fun (tid, _) -> List.exists (fun (ts : Res.thread_stat) -> ts.tid = tid) r.Res.per_thread)
-                 streams);
-            (label, streams))
-          (tuned_runtimes params)
-      in
-      List.iter
-        (fun label ->
-          check_bool
-            (Printf.sprintf "%s seed=%d %s decisions identical to ic" bench seed label)
-            true
-            (List.assoc label streams = List.assoc "ic" streams))
-        [ "pipe"; "domains" ])
-    [ 1; 7 ]
-
-let test_controller_decisions_identical_across_runtimes () =
-  List.iter
-    (check_controller_decisions_identical Runtime.Tune_ctl.default)
-    [ "kmeans"; "histogram" ]
-
-let test_controller_decisions_exact_every_workload () =
-  List.iter (check_controller_decisions_exact Runtime.Tune_ctl.default) Workload.Registry.names
-
-(* Value-determinism with the controller enabled, mirroring the
+(* Value-determinism at tuned knob points, mirroring the
    pipelined-commit on/off matrix: per-runtime witnesses are seed-stable,
    memory and output hashes agree across all five runtimes, and the full
    witness (including the sync-order hash, which legitimately differs
    between token-ordering disciplines) is identical within the
-   consequence-ic family {ic, pipe, domains}. *)
+   consequence-ic family {ic, pipe, domains}.  The two grid points move
+   the overflow knobs and the coarsening knobs respectively. *)
 let test_tuned_witness_matrix () =
-  let params = Runtime.Tune_ctl.default in
   List.iter
-    (fun bench ->
+    (fun (point, bench) ->
+      let params = List.assoc point Tune.Search.hand_grid in
       let program = (Workload.Registry.find bench).Workload.Registry.program in
+      let bench = Printf.sprintf "%s@%s" bench point in
       let results =
         List.map
           (fun (label, rt) ->
@@ -1100,7 +1015,9 @@ let test_tuned_witness_matrix () =
               (Res.deterministic_witness ic)
               (Res.deterministic_witness r))
         (List.tl results))
-    [ "kmeans"; "histogram"; "matrix_multiply" ]
+    (List.concat_map
+       (fun point -> List.map (fun b -> (point, b)) [ "kmeans"; "histogram"; "matrix_multiply" ])
+       [ "hand-huge-chunk"; "hand-coarse" ])
 
 (* Cheap always-on cross-check so plain `dune runtest` exercises the
    real-parallel path (the full sweep above is `Slow). *)
@@ -1191,10 +1108,6 @@ let () =
         [
           Alcotest.test_case "Run.names covers every preset" `Quick
             test_run_names_cover_presets;
-          Alcotest.test_case "decisions identical across five runtimes" `Quick
-            test_controller_decisions_identical_across_runtimes;
-          Alcotest.test_case "controller decisions identical across runtimes" `Quick
-            test_controller_decisions_exact_every_workload;
           Alcotest.test_case "tuned witness matrix" `Quick test_tuned_witness_matrix;
         ] );
       ( "domains",
