@@ -42,8 +42,8 @@ let micro_tests () =
     Test.make ~name:"segment: commit 8 pages + read back"
       (Staged.stage (fun () ->
            let seg = Vmem.Segment.create ~pages:16 ~page_size () in
-           let pages = List.init 8 (fun i -> (i, Vmem.Page.create ~size:page_size)) in
-           let v = Vmem.Segment.commit seg ~committer:0 ~pages in
+           let pages = Array.init 8 (fun _ -> Vmem.Page.create ~size:page_size) in
+           let v = Vmem.Segment.commit seg ~committer:0 ~idxs:(Array.init 8 Fun.id) ~pages in
            ignore (Vmem.Segment.read_page seg ~version:v 3)))
   in
   let ws_cycle =
@@ -91,13 +91,13 @@ let micro_tests () =
           for v = 1 to 1000 do
             Bytes.set page 0 (Char.chr (v land 0xff));
             ignore
-              (Vmem.Segment.commit seg ~committer:0
-                 ~pages:[ (3, Vmem.Page.copy page) ])
+              (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 3 |]
+                 ~pages:[| Vmem.Page.copy page |])
           done;
           fun () ->
             let v =
-              Vmem.Segment.commit seg ~committer:0
-                ~pages:[ (3, Vmem.Page.copy page) ]
+              Vmem.Segment.commit seg ~committer:0 ~idxs:[| 3 |]
+                ~pages:[| Vmem.Page.copy page |]
             in
             ignore (Vmem.Segment.read_page seg ~version:v 3)))
   in
@@ -170,7 +170,7 @@ let sched_tests () =
   let token_cycle =
     (* The no-contention fast path a thread takes at every sync op when
        nobody else wants the token: waitq insert/remove, the O(1)
-       eligibility read, published_of, poke. *)
+       eligibility read, published_or, poke. *)
     Test.make ~name:"token: uncontended acquire + release cycle"
       (Staged.stage
          (let eng = Sim.Engine.create ~seed:1 () in

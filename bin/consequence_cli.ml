@@ -69,13 +69,19 @@ let benchmark_arg =
   let doc = "Benchmark name (see the bench subcommand for the list)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc)
 
-let find_program name =
+(* With [threads], a program whose layout cannot hold that many threads
+   is refused here, before any run starts. *)
+let find_program ?threads name =
   match Workload.Registry.find name with
-  | entry -> Ok entry.Workload.Registry.program
   | exception Not_found ->
       Error
         (Printf.sprintf "unknown benchmark %S; known: %s" name
            (String.concat ", " Workload.Registry.names))
+  | entry -> (
+      let program = entry.Workload.Registry.program in
+      match threads with
+      | None -> Ok program
+      | Some n -> Result.map (fun () -> program) (Api.check_threads program n))
 
 (* --- run -------------------------------------------------------------- *)
 
@@ -106,7 +112,7 @@ let profile_file_arg =
 let run_cmd =
   let action runtime threads seed name breakdown metrics json jobs profile =
     apply_jobs jobs;
-    match Result.bind (find_program name) (fun program ->
+    match Result.bind (find_program ~threads name) (fun program ->
         Result.map (fun rt -> (program, rt)) (with_profile ~name profile runtime)) with
     | Error e ->
         prerr_endline e;
@@ -151,7 +157,7 @@ let run_cmd =
 
 let trace_cmd =
   let action runtime threads seed name out metrics_out =
-    match find_program name with
+    match find_program ~threads name with
     | Error e ->
         prerr_endline e;
         exit 1
@@ -244,7 +250,7 @@ let profile_cmd =
         end;
         sweep runtime threads seed
     | Some name -> (
-        match find_program name with
+        match find_program ~threads name with
         | Error e ->
             prerr_endline e;
             exit 1
@@ -378,7 +384,7 @@ let litmus_cmd =
 
 let lrc_cmd =
   let action threads seed name =
-    match find_program name with
+    match find_program ~threads name with
     | Error e ->
         prerr_endline e;
         exit 1
@@ -398,7 +404,7 @@ let lrc_cmd =
 
 let schedule_cmd =
   let action runtime threads seed name count =
-    match find_program name with
+    match find_program ~threads name with
     | Error e ->
         prerr_endline e;
         exit 1
@@ -475,7 +481,7 @@ let races_cmd =
         let program =
           match List.find_opt (fun p -> p.Api.name = name) extras with
           | Some p -> Ok p
-          | None -> find_program name
+          | None -> find_program ~threads name
         in
         match program with
         | Error e ->
@@ -528,7 +534,7 @@ let races_cmd =
 
 let record_cmd =
   let action runtime threads seed name out =
-    match find_program name with
+    match find_program ~threads name with
     | Error e ->
         prerr_endline e;
         exit 1
@@ -718,7 +724,7 @@ let tune_cmd =
 let check_cmd =
   let action runtime threads name jobs =
     apply_jobs jobs;
-    match find_program name with
+    match find_program ~threads name with
     | Error e ->
         prerr_endline e;
         exit 1

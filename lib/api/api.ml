@@ -40,11 +40,20 @@ type t = {
   default_threads : int;
   heap_pages : int;
   page_size : int;
+  max_threads : int;
   main : nthreads:int -> ops -> unit;
 }
 
 let make ~name ?(description = "") ?(default_threads = 8) ?(heap_pages = 256)
-    ?(page_size = 256) main =
+    ?(page_size = 256) ?(max_threads = max_int) main =
   if heap_pages <= 0 || page_size <= 0 then invalid_arg "Api.make: bad heap geometry";
-  if default_threads <= 0 then invalid_arg "Api.make: bad thread count";
-  { name; description; default_threads; heap_pages; page_size; main }
+  if default_threads <= 0 || max_threads < default_threads then
+    invalid_arg "Api.make: bad thread count";
+  { name; description; default_threads; heap_pages; page_size; max_threads; main }
+
+let check_threads t n =
+  if n < 1 then Error (Printf.sprintf "%s needs at least 1 thread; %d requested" t.name n)
+  else if n > t.max_threads then
+    Error
+      (Printf.sprintf "%s supports at most %d threads; %d requested" t.name t.max_threads n)
+  else Ok ()

@@ -103,6 +103,9 @@ type t = {
   default_threads : int;
   heap_pages : int;
   page_size : int;
+  max_threads : int;
+      (** most worker threads the program's memory layout has room for;
+          [max_int] when it has no fixed limit *)
   main : nthreads:int -> ops -> unit;
       (** body of the main thread; receives the requested worker count
           and typically spawns [nthreads] workers and joins them *)
@@ -114,6 +117,13 @@ val make :
   ?default_threads:int ->
   ?heap_pages:int ->
   ?page_size:int ->
+  ?max_threads:int ->
   (nthreads:int -> ops -> unit) ->
   t
-(** Defaults: 8 threads, 256 pages of 256 bytes. *)
+(** Defaults: 8 threads, 256 pages of 256 bytes, no thread limit. *)
+
+val check_threads : t -> int -> (unit, string) result
+(** [Error msg] when [n] workers are fewer than 1 or exceed
+    [max_threads]; [msg] names the program and the limit.  Runners check
+    this before a run starts, so a program never runs with another
+    thread count than the one asked for. *)

@@ -188,24 +188,27 @@ let gmic t = if t.active.size = 0 then None else Some t.active.heap.(0).tid
 
 let gmic_tid t = if t.active.size = 0 then -1 else t.active.heap.(0).tid
 
+(* The per-operation queries below use [Hashtbl.find] rather than
+   [find_opt]: a hit allocates no option. *)
 let is_active t ~tid =
-  match Hashtbl.find_opt t.clocks tid with None -> false | Some c -> active c
+  match Hashtbl.find t.clocks tid with c -> active c | exception Not_found -> false
 
 let is_gmic t ~tid = t.active.size > 0 && t.active.heap.(0).tid = tid
 
-let published_of t ~tid =
-  match Hashtbl.find_opt t.clocks tid with
-  | Some c when not c.finished -> Some c.published
-  | Some _ | None -> None
+let published_or t ~tid ~default =
+  match Hashtbl.find t.clocks tid with
+  | c -> if c.finished then default else c.published
+  | exception Not_found -> default
 
 (* ------------------------------------------------------------------ *)
 (* Token-waiter index                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let set_waiting t ~tid waiting =
-  match Hashtbl.find_opt t.clocks tid with
-  | None -> invalid_arg (Printf.sprintf "Logical_clock.set_waiting: unknown tid %d" tid)
-  | Some c ->
+  match Hashtbl.find t.clocks tid with
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Logical_clock.set_waiting: unknown tid %d" tid)
+  | c ->
       if waiting && not c.finished then begin
         c.waiting <- true;
         if not c.departed then ix_insert t.waitq c
@@ -216,9 +219,9 @@ let set_waiting t ~tid waiting =
       end
 
 let is_waiting t ~tid =
-  match Hashtbl.find_opt t.clocks tid with
-  | None -> false
-  | Some c -> c.pos.(slot_waiting) >= 0
+  match Hashtbl.find t.clocks tid with
+  | c -> c.pos.(slot_waiting) >= 0
+  | exception Not_found -> false
 
 let waiting_count t = t.waitq.size
 
@@ -239,9 +242,9 @@ let next_waiting_gap t ~tid =
     in
     if w.tid = tid then 0
     else
-      match Hashtbl.find_opt t.clocks tid with
-      | None -> 0
-      | Some me -> w.published - me.published + 1
+      match Hashtbl.find t.clocks tid with
+      | me -> w.published - me.published + 1
+      | exception Not_found -> 0
   end
 
 (* ------------------------------------------------------------------ *)

@@ -78,9 +78,10 @@ val is_gmic : t -> tid:int -> bool
 val is_active : t -> tid:int -> bool
 (** True iff [tid] is registered, live and non-departed. *)
 
-val published_of : t -> tid:int -> int option
-(** Published count of a live thread by tid; [None] if unregistered or
-    finished.  O(1) (no list build, unlike {!counts}). *)
+val published_or : t -> tid:int -> default:int -> int
+(** Published count of a live thread by tid; [default] if unregistered
+    or finished.  O(1) (no list build, unlike {!counts}) and allocates
+    nothing. *)
 
 val set_waiting : t -> tid:int -> bool -> unit
 (** Mark/unmark [tid] as waiting for the global token.  Maintains the

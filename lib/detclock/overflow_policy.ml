@@ -39,7 +39,7 @@ let begin_chunk t =
   | Adaptive { base; cap } -> t.interval <- min base cap
   | Fixed _ | Scripted _ -> ()
 
-let next_interval ?(ic = 0) t ~waiter_gap =
+let next_interval ~ic t ~waiter_gap =
   t.scheduled <- t.scheduled + 1;
   match t.kind with
   | Fixed n -> n

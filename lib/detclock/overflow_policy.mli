@@ -53,16 +53,16 @@ val kind : t -> kind
 val begin_chunk : t -> unit
 (** Reset per-chunk state (rule 1). *)
 
-val next_interval : ?ic:int -> t -> waiter_gap:int -> int
+val next_interval : ic:int -> t -> waiter_gap:int -> int
 (** Instructions until the next overflow should fire.  [waiter_gap] is
     the distance to the next-lowest waiting thread's clock (from
     {!Logical_clock.next_waiting_gap}), when we are the GMIC and somebody
     waits on us: rule 2 targets the overflow exactly there.  A
     non-positive gap (0 = nobody relevant is waiting) applies rule 3
-    (doubling).  [ic] (default 0) is the calling thread's current
-    retired-instruction count; only [Scripted] policies read it, to place
-    the next overflow at the next recorded boundary.  Always returns a
-    value >= 1. *)
+    (doubling).  [ic] is the calling thread's current retired-instruction
+    count; only [Scripted] policies read it, to place the next overflow at
+    the next recorded boundary.  (It is not optional: an optional argument
+    would box it at every call.)  Always returns a value >= 1. *)
 
 val overflows_scheduled : t -> int
 (** Total intervals handed out; a proxy for interrupt overhead. *)

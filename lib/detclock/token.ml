@@ -69,9 +69,8 @@ let release t ~tid =
   if t.holder_tid <> tid then
     invalid_arg (Printf.sprintf "Token.release: tid %d does not hold the token" tid);
   t.holder_tid <- -1;
-  (match Logical_clock.published_of t.clocks ~tid with
-  | Some published -> t.last_release_published <- published
-  | None -> ());
+  t.last_release_published <-
+    Logical_clock.published_or t.clocks ~tid ~default:t.last_release_published;
   (match t.ordering with
   | Round_robin -> t.rr_turn <- tid + 1
   | Instruction_count -> ());

@@ -19,7 +19,11 @@ val ver_addr : int -> int
     writes to the key). *)
 
 val data_pages : int
+
 val max_threads : int
+(** Per-thread slots in the status and intent regions.  The service's
+    programs declare it as their [Api.max_threads], so a run with more
+    threads is refused before it starts. *)
 
 val remaining_addr : int -> int
 (** Requests thread [tid] still has to serve;

@@ -225,7 +225,13 @@ let store_digest (ops : A.ops) =
 
 let main ~shape ~requests ~(record : recorder) ~(finish : A.ops -> int -> unit) ~nthreads
     (ops : A.ops) =
-  let nthreads = max 1 (min nthreads Layout.max_threads) in
+  (* The status and intent regions have [Layout.max_threads] slots; the
+     programs below declare that limit, so runners refuse a larger count
+     before the run starts. *)
+  if nthreads < 1 || nthreads > Layout.max_threads then
+    invalid_arg
+      (Printf.sprintf "Kv.Service.main: %d threads outside 1..Layout.max_threads (%d)" nthreads
+         Layout.max_threads);
   for k = 0 to Layout.n_keys - 1 do
     ops.A.write_int ~addr:(Layout.value_addr k) (Layout.initial_value k)
   done;
@@ -265,6 +271,7 @@ let workload ?(requests = default_requests) shape =
   Api.make ~name:(Traffic.name shape)
     ~description:("transactional KV service, " ^ Traffic.description shape)
     ~default_threads:4 ~heap_pages:Layout.heap_pages ~page_size:Layout.page_size
+    ~max_threads:Layout.max_threads
     (fun ~nthreads ops -> main ~shape ~requests ~record:no_record ~finish:no_finish ~nthreads ops)
 
 (* A capturing variant for the test suite: same protocol, plus an
@@ -298,7 +305,7 @@ let probe ?(requests = default_requests) shape =
     Api.make
       ~name:(Traffic.name shape ^ "_probe")
       ~description:"capturing kv service probe" ~default_threads:4 ~heap_pages:Layout.heap_pages
-      ~page_size:Layout.page_size
+      ~page_size:Layout.page_size ~max_threads:Layout.max_threads
       (fun ~nthreads ops ->
         Array.fill slots 0 (Array.length slots) [];
         last := None;

@@ -73,7 +73,4 @@ let default =
 
 let work_ns t prng n =
   if n <= 0 then 0
-  else
-    let base = float_of_int n *. t.cpi_ns in
-    let jittered = base *. Sim.Prng.jitter prng ~amplitude:t.jitter_amplitude in
-    max 1 (int_of_float jittered)
+  else max 1 (Sim.Prng.jittered prng ~amplitude:t.jitter_amplitude ~scale:t.cpi_ns n)

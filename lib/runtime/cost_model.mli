@@ -65,4 +65,5 @@ val default : t
 
 val work_ns : t -> Sim.Prng.t -> int -> int
 (** Real time for [n] instructions including jitter drawn from the given
-    stream; at least 1 ns for n >= 1. *)
+    stream; at least 1 ns for n >= 1.  Allocates nothing: the jitter is
+    drawn with {!Sim.Prng.jittered}. *)

@@ -3,10 +3,15 @@ module Tok = Detclock.Token
 module Ofp = Detclock.Overflow_policy
 module Bd = Stats.Breakdown
 
+(* An exponentially weighted moving average.  A float-only record is
+   stored flat, so updating [v] boxes nothing (a float field of a mixed
+   record would box a fresh float at every update).  0.0 = no sample. *)
+type ewma = { mutable v : float }
+
 type mutex_rec = {
-  mutable held_by : int option;
+  mutable held_by : int; (* tid of the holder, -1 = free *)
   lock_waitq : int Queue.t;
-  mutable cs_ewma : float; (* per-lock critical-section length estimate *)
+  cs_ewma : ewma; (* per-lock critical-section length estimate *)
   mutable cs_enter_instr : int;
 }
 
@@ -23,7 +28,7 @@ type thread_state = {
   mutable next_overflow_in : int; (* instructions until the next overflow; 0 = fetch new *)
   mutable chunk_start_instr : int;
   mutable since_commit : int; (* instructions since last commit (for chunk_limit) *)
-  mutable chunk_ewma : float; (* thread-local estimate of chunk length (section 3.1) *)
+  chunk_ewma : ewma; (* thread-local estimate of chunk length (section 3.1) *)
   (* Coarsening state *)
   mutable coarsen_holding : bool;
   mutable coarsen_ops : int;
@@ -33,20 +38,22 @@ type thread_state = {
   mutable exited : bool;
   mutable parked : bool;
   mutable joiner : int option;
-  (* Deterministic wake conditions (permits may be spurious; these are not) *)
-  mutable lock_grant : bool;
-  mutable cond_grant : bool;
-  mutable join_grant : bool;
-  mutable barrier_grant : bool;
-  mutable post_site : int option;
-      (* mutex id whose unlock opened the current chunk; its length is
-         attributed to this thread's per-lock post-unlock estimate at the
-         next sync op.  Thread-local (paper section 3.1: "a thread-local
-         estimate is maintained for use with coarsening unlock
-         operations"), refined per lock so producer and consumer roles on
-         the same lock do not pollute each other. *)
+  mutable granted : bool;
+      (* Deterministic wake condition of the current park (engine permits
+         may be spurious; this is not).  A parked thread waits on exactly
+         one lock, condition, barrier or join, so one flag serves all
+         four: the parking thread clears it before it becomes grantable
+         and its {!grant} sets it. *)
+  mutable post_armed : bool;
+  mutable post_site : int;
+      (* When [post_armed]: the mutex id whose unlock opened the current
+         chunk; its length is attributed to this thread's per-lock
+         post-unlock estimate at the next sync op.  Thread-local (paper
+         section 3.1: "a thread-local estimate is maintained for use with
+         coarsening unlock operations"), refined per lock so producer and
+         consumer roles on the same lock do not pollute each other. *)
   mutable post_site_instr : int;
-  post_ewma : (int, float) Hashtbl.t;
+  post_ewma : (int, ewma) Hashtbl.t;
   (* Observability bookkeeping (never read by the algorithms) *)
   mutable race_epoch : int;
       (* release count + 1: the thread's own vector-clock component as a
@@ -136,15 +143,20 @@ type t = {
   (* DThreads-style synchronous-commit fence (Fig 3a).  Threads arriving
      at a sync op rendezvous here; when every runnable thread has
      arrived, the epoch's arrivals are processed serially in thread-id
-     order through [serial_queue].  The global token is not used in this
+     order through the serial queue.  The global token is not used in this
      mode — the serial queue *is* the round-robin order, computed over
      exactly the threads that reached the fence, which is what real
      DThreads' parallel-phase/serial-phase structure does.  (Using the
      free-running round-robin token here would deadlock: the token could
      wait on a thread that is itself waiting at the fence.) *)
-  fence_arrived : (int, unit) Hashtbl.t;
+  mutable fence_arrived : bool array; (* by tid, as long as [threads] *)
+  mutable fence_count : int; (* threads at the fence *)
   mutable fence_generation : int;
-  mutable serial_queue : int list;
+  (* The serial queue: a ring of tids, [serial_len] of them from
+     [serial_head] (capacity a power of two). *)
+  mutable serial_ring : int array;
+  mutable serial_head : int;
+  mutable serial_len : int;
   mutable serial_acquisitions : int;
   observer : Rt_event.observer option;
   race_stamp : (int, int * int) Hashtbl.t;
@@ -213,7 +225,10 @@ let add_thread rt th =
   if th.tid >= cap then begin
     let grown = Array.make (cap * 2) None in
     Array.blit rt.threads 0 grown 0 cap;
-    rt.threads <- grown
+    rt.threads <- grown;
+    let arrived = Array.make (cap * 2) false in
+    Array.blit rt.fence_arrived 0 arrived 0 cap;
+    rt.fence_arrived <- arrived
   end;
   rt.threads.(th.tid) <- Some th
 
@@ -243,6 +258,17 @@ let record_sync rt th ~op label =
   let time = e_now rt in
   Sim.Trace.record rt.sync_trace ~time ~tid:th.tid ~label;
   match rt.on_sync with None -> () | Some f -> f ~time ~tid:th.tid label
+
+(* [record_sync] of the label [prefix ^ string_of_int n]: the string is
+   only built when the debug dump or an [on_sync] hook wants it. *)
+let record_sync_int rt th ~op prefix n =
+  if debug_sync || Option.is_some rt.on_sync then
+    record_sync rt th ~op (prefix ^ string_of_int n)
+  else begin
+    rt.sync_ops <- rt.sync_ops + 1;
+    Obs.Metrics.count op 1;
+    Sim.Trace.record_int rt.sync_trace ~time:(e_now rt) ~tid:th.tid ~label:prefix n
+  end
 
 (* Observability helpers.  These read the simulated clock but never
    advance it, block, or touch algorithm state: instrumented and bare
@@ -281,7 +307,7 @@ let bd_of_state = function
 
 (* Emit one closed state interval [t0, now).  Purely observational: the
    sink sees the interval after the time has already been spent. *)
-let state_interval rt th ~state ~t0 ?(waker = -1) () =
+let state_interval rt th ~state ~t0 ~waker =
   if tracing rt then begin
     let t1 = e_now rt in
     if t1 > t0 then
@@ -298,7 +324,7 @@ let charge rt th st ns =
     Bd.add th.bd (bd_of_state st) ns;
     let t0 = e_now rt in
     e_advance rt ns;
-    state_interval rt th ~state:st ~t0 ()
+    state_interval rt th ~state:st ~t0 ~waker:(-1)
   end
 
 let emit rt ev =
@@ -317,7 +343,7 @@ let emit rt ev =
   end
 
 let new_mutex_rec () =
-  { held_by = None; lock_waitq = Queue.create (); cs_ewma = 0.0; cs_enter_instr = 0 }
+  { held_by = -1; lock_waitq = Queue.create (); cs_ewma = { v = 0.0 }; cs_enter_instr = 0 }
 
 let mutex_of rt id =
   let id = match rt.cfg.lock_granularity with Config.Single_global -> 0 | Config.Per_lock -> id in
@@ -352,19 +378,28 @@ let barrier_of rt id =
       Hashtbl.replace rt.barriers id b;
       b
 
-let ewma alpha sample old = if old = 0.0 then sample else (alpha *. sample) +. ((1.0 -. alpha) *. old)
+(* Fold one sample into [e]; the first sample replaces the empty 0.0. *)
+let ewma_add (e : ewma) alpha sample =
+  let sample = float_of_int sample in
+  e.v <- (if e.v = 0.0 then sample else (alpha *. sample) +. ((1.0 -. alpha) *. e.v))
 
 (* At every sync-op boundary, attribute the chunk that just ended to the
    (thread, lock) pair whose unlock started it.  Purely thread-local
    state, so the fold order cannot depend on scheduling. *)
 let settle_post_unlock rt th =
-  match th.post_site with
-  | None -> ()
-  | Some mid ->
-      let len = float_of_int (th.instr_retired - th.post_site_instr) in
-      let old = match Hashtbl.find_opt th.post_ewma mid with Some v -> v | None -> 0.0 in
-      Hashtbl.replace th.post_ewma mid (ewma rt.cfg.Config.ewma_alpha len old);
-      th.post_site <- None
+  if th.post_armed then begin
+    let mid = th.post_site in
+    let e =
+      match Hashtbl.find th.post_ewma mid with
+      | e -> e
+      | exception Not_found ->
+          let e = { v = 0.0 } in
+          Hashtbl.add th.post_ewma mid e;
+          e
+    in
+    ewma_add e rt.cfg.Config.ewma_alpha (th.instr_retired - th.post_site_instr);
+    th.post_armed <- false
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Memory accounting and GC                                           *)
@@ -482,10 +517,11 @@ let counter_read rt th =
    moves the chunk start past itself, since it cannot order writes that
    have not happened yet.  Coarsened fast-path releases over a dirty
    workspace leave the chunk start alone: the deferred commit's writes
-   straddle them, and the chunk is classified as a whole. *)
-let emit_release rt th obj =
+   straddle them, and the chunk is classified as a whole.  The released
+   object's name, [obj id], is only built when somebody is listening. *)
+let emit_release rt th obj id =
   if emitting rt then begin
-    emit rt (Rt_event.Release { tid = th.tid; obj });
+    emit rt (Rt_event.Release { tid = th.tid; obj = obj id });
     th.race_epoch <- th.race_epoch + 1;
     if not (Vmem.Workspace.is_dirty th.ws) then th.chunk_epoch <- th.race_epoch
   end
@@ -539,7 +575,7 @@ let stamp_commit rt th (ci : Vmem.Workspace.commit_info) =
    the first differing commit, not at the final workspace hash. *)
 let commit_digest rt (ci : Vmem.Workspace.commit_info) =
   let h =
-    List.fold_left
+    Array.fold_left
       (fun h p -> Sim.Fnv.bytes (Sim.Fnv.int h p) (Vmem.Segment.read_page rt.seg ~version:ci.version p))
       Sim.Fnv.init ci.committed_pages
   in
@@ -561,7 +597,7 @@ let shard_footprint rt (ci : Vmem.Workspace.commit_info) =
   else begin
     let scratch = rt.shard_scratch in
     Array.fill scratch 0 nsh 0;
-    List.iter
+    Array.iter
       (fun p ->
         let s = Vmem.Segment.shard_of_page rt.seg p in
         scratch.(s) <- scratch.(s) + 1)
@@ -621,10 +657,12 @@ let charge_commit rt th (ci : Vmem.Workspace.commit_info) =
         ~tid:th.tid ~t0
         ~args:[ ("pages", ci.pages_committed); ("merged", ci.pages_merged) ]
         ();
-    record_sync rt th ~op:rt.mh.mh_ops.commit ("commit:" ^ string_of_int ci.version);
+    record_sync_int rt th ~op:rt.mh.mh_ops.commit "commit:" ci.version;
     emit_conflicts rt th ci;
     if emitting rt then begin
-      emit rt (Rt_event.Commit { tid = th.tid; version = ci.version; pages = ci.committed_pages });
+      emit rt
+        (Rt_event.Commit
+           { tid = th.tid; version = ci.version; pages = Array.to_list ci.committed_pages });
       emit_commit_hash rt th ci
     end
   end
@@ -671,13 +709,30 @@ let ws_update rt th =
   end
   else Vmem.Workspace.update th.ws
 
+(* What [stamp_commit] does for a commit that publishes nothing. *)
+let stamp_clean rt th = if emitting rt then th.chunk_epoch <- th.race_epoch
+
+(* Commit and charge.  A clean workspace has nothing to publish, so the
+   workspace is not called and no result is built; the race-chunk stamp
+   resets all the same. *)
+let commit_and_charge rt th =
+  if Vmem.Workspace.is_dirty th.ws then begin
+    let ci = ws_commit rt th in
+    stamp_commit rt th ci;
+    charge_commit rt th ci
+  end
+  else stamp_clean rt th
+
+(* Update and charge; a workspace already at the newest version has
+   nothing to map, so the workspace is not called. *)
+let update_and_charge rt th =
+  if Vmem.Workspace.base th.ws < Vmem.Segment.current_version rt.seg then
+    charge_update rt th (ws_update rt th)
+
 (* The paper's convCommitAndUpdateMem(). *)
 let commit_and_update rt th =
-  let ci = ws_commit rt th in
-  stamp_commit rt th ci;
-  charge_commit rt th ci;
-  let ui = ws_update rt th in
-  charge_update rt th ui;
+  commit_and_charge rt th;
+  update_and_charge rt th;
   th.since_commit <- 0;
   gc_and_sample rt
 
@@ -687,62 +742,90 @@ let commit_and_update rt th =
 
 let fence_participant th = (not th.exited) && (not th.parked) && not th.coarsen_holding
 
+(* Thread slot [tid] does not hold the fence back. *)
+let fence_ready rt tid =
+  match rt.threads.(tid) with
+  | Some th -> (not (fence_participant th)) || rt.fence_arrived.(tid)
+  | None -> true
+
 let fence_complete rt =
-  fold_threads rt
-    (fun th ok -> ok && ((not (fence_participant th)) || Hashtbl.mem rt.fence_arrived th.tid))
-    true
+  let n = min rt.next_tid (Array.length rt.threads) in
+  let tid = ref 0 in
+  while !tid < n && fence_ready rt !tid do
+    incr tid
+  done;
+  !tid = n
+
+(* Ring slot of the [k]th queued thread. *)
+let serial_slot rt k = (rt.serial_head + k) land (Array.length rt.serial_ring - 1)
+
+let serial_push rt tid =
+  if rt.serial_len = Array.length rt.serial_ring then begin
+    let grown = Array.make (2 * rt.serial_len) 0 in
+    for k = 0 to rt.serial_len - 1 do
+      grown.(k) <- rt.serial_ring.(serial_slot rt k)
+    done;
+    rt.serial_ring <- grown;
+    rt.serial_head <- 0
+  end;
+  rt.serial_ring.(serial_slot rt rt.serial_len) <- tid;
+  rt.serial_len <- rt.serial_len + 1
+
+(* The thread at the head of the serial queue, or -1 when it is empty. *)
+let serial_head rt = if rt.serial_len = 0 then -1 else rt.serial_ring.(rt.serial_head)
 
 let fence_release rt ~waker =
-  let arrived =
-    Hashtbl.fold (fun tid () acc -> tid :: acc) rt.fence_arrived [] |> List.sort compare
-  in
-  Hashtbl.reset rt.fence_arrived;
-  rt.fence_generation <- rt.fence_generation + 1;
   (* The epoch's serial phase processes arrivals in thread-id order. *)
-  rt.serial_queue <- rt.serial_queue @ arrived;
-  List.iter
-    (fun tid ->
-      if tid <> waker then (thread rt tid).prof_waker <- waker;
-      e_wakeup rt tid)
-    arrived
+  let first = rt.serial_len in
+  for tid = 0 to Array.length rt.fence_arrived - 1 do
+    if rt.fence_arrived.(tid) then begin
+      rt.fence_arrived.(tid) <- false;
+      serial_push rt tid
+    end
+  done;
+  rt.fence_count <- 0;
+  rt.fence_generation <- rt.fence_generation + 1;
+  for k = first to rt.serial_len - 1 do
+    let tid = rt.serial_ring.(serial_slot rt k) in
+    if tid <> waker then (thread rt tid).prof_waker <- waker;
+    e_wakeup rt tid
+  done
 
 (* Called whenever the participant set shrinks (park, exit): the fence may
    now be complete without a new arrival. *)
 let fence_check rt ~waker =
-  if
-    rt.cfg.ordering = Config.Round_robin
-    && Hashtbl.length rt.fence_arrived > 0
-    && fence_complete rt
-  then fence_release rt ~waker
+  if rt.cfg.ordering = Config.Round_robin && rt.fence_count > 0 && fence_complete rt then
+    fence_release rt ~waker
 
 let fence_wait rt th =
-  Hashtbl.replace rt.fence_arrived th.tid ();
+  if not rt.fence_arrived.(th.tid) then begin
+    rt.fence_arrived.(th.tid) <- true;
+    rt.fence_count <- rt.fence_count + 1
+  end;
   if fence_complete rt then fence_release rt ~waker:th.tid
   else begin
     let gen = rt.fence_generation in
     while rt.fence_generation = gen do
       e_block rt ~reason:"fence"
     done
-  end;
-  ignore th
+  end
 
 let serial_wait rt th =
-  let at_head () = match rt.serial_queue with head :: _ -> head = th.tid | [] -> false in
-  while not (at_head ()) do
+  while serial_head rt <> th.tid do
     e_block rt ~reason:"serial-turn"
   done;
   rt.serial_acquisitions <- rt.serial_acquisitions + 1
 
 let serial_done rt th =
-  match rt.serial_queue with
-  | head :: rest when head = th.tid ->
-      rt.serial_queue <- rest;
-      (match rest with
-      | next :: _ ->
-          (thread rt next).prof_waker <- th.tid;
-          e_wakeup rt next
-      | [] -> ())
-  | _ -> invalid_arg "Det_rt.serial_done: thread is not at the head of the serial queue"
+  if serial_head rt <> th.tid then
+    invalid_arg "Det_rt.serial_done: thread is not at the head of the serial queue";
+  rt.serial_head <- serial_slot rt 1;
+  rt.serial_len <- rt.serial_len - 1;
+  let next = serial_head rt in
+  if next >= 0 then begin
+    (thread rt next).prof_waker <- th.tid;
+    e_wakeup rt next
+  end
 
 (* Round-robin ordering is implemented with the epoch fence + serial
    queue; instruction-count ordering with the GMIC token. *)
@@ -772,7 +855,7 @@ let acquire_global rt th =
        serial-turn/fence waker, falling back to the last thread that made
        the token grantable (released it or published a clock tick). *)
     let waker = if th.prof_waker >= 0 then th.prof_waker else rt.prof_enabler in
-    state_interval rt th ~state:St.Token_wait ~t0 ~waker ()
+    state_interval rt th ~state:St.Token_wait ~t0 ~waker
   end;
   th.prof_waker <- -1;
   th.token_t0 <- e_now rt
@@ -840,7 +923,7 @@ let observe_chunk rt th =
 
 let close_chunk rt th =
   let chunk_len = th.instr_retired - th.chunk_start_instr in
-  th.chunk_ewma <- ewma rt.cfg.ewma_alpha (float_of_int chunk_len) th.chunk_ewma;
+  ewma_add th.chunk_ewma rt.cfg.ewma_alpha chunk_len;
   observe_chunk rt th;
   counter_read rt th;
   Lc.pause th.clock
@@ -923,7 +1006,8 @@ let end_coarsen rt th =
   th.next_overflow_in <- 0
 
 (* Should we coarsen past this coordination phase?  [estimate] is the
-   expected length of the upcoming piece of local work. *)
+   expected length of the upcoming piece of local work, in whole
+   instructions (an EWMA truncated by [int_of_float]). *)
 let coarsen_decision rt th ~estimate =
   match rt.cfg.coarsening with
   | Config.No_coarsening -> false
@@ -932,7 +1016,7 @@ let coarsen_decision rt th ~estimate =
       let accumulated =
         if th.coarsen_holding then th.instr_retired - th.coarsen_start_instr else 0
       in
-      accumulated + int_of_float estimate <= th.coarsen_max
+      accumulated + estimate <= th.coarsen_max
 
 (* ------------------------------------------------------------------ *)
 (* Local work execution (the chunk executor)                          *)
@@ -1002,13 +1086,15 @@ let mem_instr rt len = max 1 (len / 8 * rt.costs.Cost_model.mem_op_instr_per_8by
    lock-free read path Segment's [hist] publication order protects), so
    memory operations from different domains genuinely overlap.  The
    wrapper re-acquires the lock before re-raising, preserving the
-   invariant that runtime code always unwinds with the lock held. *)
-let unlocked_mem rt th f =
+   invariant that runtime code always unwinds with the lock held.  The
+   operation is [f th.ws a b]: call sites pass closed functions and their
+   arguments, so no closure is built per operation. *)
+let unlocked_mem rt th f a b =
   if is_real rt then begin
     let w0 = e_now rt in
     rt.ex.Sim.Exec.unlock ();
     let r =
-      try f ()
+      try f th.ws a b
       with e ->
         rt.ex.Sim.Exec.lock ();
         raise e
@@ -1017,7 +1103,7 @@ let unlocked_mem rt th f =
     th.wall_mem <- th.wall_mem + (e_now rt - w0);
     r
   end
-  else f ()
+  else f th.ws a b
 
 let charge_new_faults rt th before_faults =
   let after = (Vmem.Workspace.stats th.ws).Vmem.Workspace.write_faults in
@@ -1034,7 +1120,8 @@ let charge_new_faults rt th before_faults =
 (* Parking (deterministic wait conditions)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Park the calling thread until [ready ()] holds.  The thread departs
+(* Park the calling thread until its [granted] flag is set (the caller
+   cleared it before becoming grantable).  The thread departs
    from GMIC consideration (clockDepart, Fig 7) and is excluded from the
    fence while parked.  The matching {!grant} — executed by the waker at
    a deterministic point — re-adds it to GMIC consideration and
@@ -1042,7 +1129,7 @@ let charge_new_faults rt th before_faults =
    eligibility depend on the real-time wake latency and break
    determinism (the paper's wakeupThread() likewise "adds the thread
    back into consideration for the GMIC"). *)
-let park rt th ~state ~reason ~ready =
+let park rt th ~state ~reason =
   flush_sticky rt th;
   Lc.depart th.clock;
   th.parked <- true;
@@ -1050,7 +1137,7 @@ let park rt th ~state ~reason ~ready =
   rt.prof_enabler <- th.tid;
   fence_check rt ~waker:th.tid;
   let t0 = e_now rt in
-  while not (ready ()) do
+  while not th.granted do
     e_block rt ~reason
   done;
   let waited = e_now rt - t0 in
@@ -1063,23 +1150,23 @@ let park rt th ~state ~reason ~ready =
    Obs.Metrics.record hist waited;
    if waited > 0 then begin
      span rt ~cat:scat ~name:reason ~tid:th.tid ~t0 ();
-     state_interval rt th ~state ~t0 ~waker:th.prof_waker ()
+     state_interval rt th ~state ~t0 ~waker:th.prof_waker
    end);
   th.prof_waker <- -1;
   (* Normally the granter already cleared these (and fast-forwarded our
-     clock); when the grant landed before we even blocked — ready() was
-     true on entry — restore them ourselves.  No simulated time passes in
+     clock); when the grant landed before we even blocked — [granted]
+     was set on entry — restore them ourselves.  No simulated time passes in
      that path, so the flicker is invisible to other threads. *)
   th.parked <- false;
   Lc.arrive th.clock;
   Tok.poke rt.token
 
 (* The waker's half of a wake-up (the paper's wakeupThread()): set the
-   wakee's deterministic wake condition via [before], fast-forward its
-   clock to the waker's (section 3.5), rejoin it to GMIC consideration,
-   and schedule it. *)
-let grant rt ~waker wakee ~before =
-  before ();
+   wakee's deterministic wake condition, fast-forward its clock to the
+   waker's (section 3.5), rejoin it to GMIC consideration, and schedule
+   it. *)
+let grant rt ~waker wakee =
+  wakee.granted <- true;
   if rt.cfg.fast_forward then begin
     (* The wakee inherits the waker's true progress: publish any
        retired-but-unpublished instructions first, so the target is a
@@ -1109,10 +1196,10 @@ let rec mutex_lock rt th mid =
   let m = mutex_of rt mid in
   if th.coarsen_holding then begin
     settle_post_unlock rt th;
-    if m.held_by = None then begin
+    if m.held_by < 0 then begin
       (* Coarsened fast path: we already hold the token; acquire without a
          coordination phase and defer the commit. *)
-      m.held_by <- Some th.tid;
+      m.held_by <- th.tid;
       measure_cs_enter th m;
       th.coarsen_ops <- th.coarsen_ops + 1;
       record_sync rt th ~op:rt.mh.mh_ops.lock (Sync_label.lock mid);
@@ -1132,8 +1219,8 @@ and mutex_lock_slow rt th mid =
   let acquired = ref false in
   while not !acquired do
     enter_coordination rt th;
-    if m.held_by = None then begin
-      m.held_by <- Some th.tid;
+    if m.held_by < 0 then begin
+      m.held_by <- th.tid;
       commit_and_update rt th;
       record_sync rt th ~op:rt.mh.mh_ops.lock (Sync_label.lock mid);
       if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_mutex mid });
@@ -1141,7 +1228,7 @@ and mutex_lock_slow rt th mid =
       acquired := true;
       (* Coarsen across the critical section if its estimated length fits
          (section 3.1, per-lock estimate). *)
-      if coarsen_decision rt th ~estimate:m.cs_ewma then begin
+      if coarsen_decision rt th ~estimate:(int_of_float m.cs_ewma.v) then begin
         begin_coarsen rt th;
         th.coarsen_ops <- 1
       end
@@ -1165,89 +1252,83 @@ and mutex_lock_slow rt th mid =
       | None ->
           (* Held: depart, queue, release the token, block (Fig 7 lines
              9-14) — the paper's first blocking deterministic mutex. *)
-          th.lock_grant <- false;
+          th.granted <- false;
           Queue.push th.tid m.lock_waitq;
           release_global rt th;
-          park rt th ~state:St.Lock_wait
-            ~reason:(Sync_label.lock mid)
-            ~ready:(fun () -> th.lock_grant)
+          park rt th ~state:St.Lock_wait ~reason:(Sync_label.lock mid)
     end
   done
 
 (* Release the mutex and grant the next waiter; shared by unlock and
    cond_wait.  Must run while holding the token. *)
 let release_mutex rt ~waker (m : mutex_rec) =
-  m.held_by <- None;
-  if not (Queue.is_empty m.lock_waitq) then begin
-    let next = Queue.pop m.lock_waitq in
-    let waiter = thread rt next in
-    grant rt ~waker waiter ~before:(fun () -> waiter.lock_grant <- true)
-  end
+  m.held_by <- -1;
+  if not (Queue.is_empty m.lock_waitq) then grant rt ~waker (thread rt (Queue.pop m.lock_waitq))
 
 let update_cs_ewma rt th (m : mutex_rec) =
-  let len = float_of_int (th.instr_retired - m.cs_enter_instr) in
-  m.cs_ewma <- ewma rt.cfg.ewma_alpha len m.cs_ewma
+  ewma_add m.cs_ewma rt.cfg.ewma_alpha (th.instr_retired - m.cs_enter_instr)
 
 (* The mutexUnlock() of Fig 9. *)
 let mutex_unlock rt th mid =
   let m = mutex_of rt mid in
-  if m.held_by <> Some th.tid then
+  if m.held_by <> th.tid then
     invalid_arg (Printf.sprintf "unlock: thread %d does not hold mutex %d" th.tid mid);
   update_cs_ewma rt th m;
   (* Expected length of the chunk that follows this unlock: this thread's
      estimate for this lock, falling back to its generic chunk estimate. *)
   let post_estimate =
-    match Hashtbl.find_opt th.post_ewma mid with Some v when v > 0.0 -> v | _ -> th.chunk_ewma
-  in
-  let note_post () =
-    th.post_site <- Some mid;
-    th.post_site_instr <- th.instr_retired
+    match Hashtbl.find th.post_ewma mid with
+    | e when e.v > 0.0 -> int_of_float e.v
+    | _ | (exception Not_found) -> int_of_float th.chunk_ewma.v
   in
   if th.coarsen_holding then begin
     settle_post_unlock rt th;
     release_mutex rt ~waker:th m;
     record_sync rt th ~op:rt.mh.mh_ops.unlock (Sync_label.unlock mid);
-    emit_release rt th (Rt_event.obj_mutex mid);
+    emit_release rt th Rt_event.obj_mutex mid;
     th.coarsen_ops <- th.coarsen_ops + 1;
     charge rt th St.Runtime rt.costs.Cost_model.sync_op_base_ns;
     (* Continue coarsening over the upcoming chunk if it is expected to
        fit (section 3.1). *)
-    if not (coarsen_decision rt th ~estimate:post_estimate) then end_coarsen rt th;
-    note_post ()
+    if not (coarsen_decision rt th ~estimate:post_estimate) then end_coarsen rt th
   end
   else begin
     enter_coordination rt th;
     release_mutex rt ~waker:th m;
     commit_and_update rt th;
     record_sync rt th ~op:rt.mh.mh_ops.unlock (Sync_label.unlock mid);
-    emit_release rt th (Rt_event.obj_mutex mid);
+    emit_release rt th Rt_event.obj_mutex mid;
     if coarsen_decision rt th ~estimate:post_estimate then begin_coarsen rt th
-    else leave_coordination rt th;
-    note_post ()
-  end
+    else leave_coordination rt th
+  end;
+  th.post_armed <- true;
+  th.post_site <- mid;
+  th.post_site_instr <- th.instr_retired
 
 let cond_wait rt th cid mid =
   let m = mutex_of rt mid in
-  if m.held_by <> Some th.tid then
+  if m.held_by <> th.tid then
     invalid_arg (Printf.sprintf "cond_wait: thread %d does not hold mutex %d" th.tid mid);
   let c = cond_of rt cid in
   enter_coordination rt th;
   update_cs_ewma rt th m;
   release_mutex rt ~waker:th m;
   commit_and_update rt th;
-  record_sync rt th ~op:rt.mh.mh_ops.cond_wait ("cond_wait:" ^ string_of_int cid);
-  emit_release rt th (Rt_event.obj_mutex mid);
-  th.cond_grant <- false;
+  record_sync_int rt th ~op:rt.mh.mh_ops.cond_wait "cond_wait:" cid;
+  emit_release rt th Rt_event.obj_mutex mid;
+  th.granted <- false;
   Queue.push th.tid c.cond_waitq;
   release_global rt th;
   charge rt th St.Runtime rt.costs.Cost_model.token_ns;
-  park rt th ~state:St.Lock_wait
-    ~reason:(Printf.sprintf "cond:%d" cid)
-    ~ready:(fun () -> th.cond_grant);
+  park rt th ~state:St.Lock_wait ~reason:(Sync_label.cond_reason cid);
   if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_cond cid });
   open_chunk rt th;
   (* Re-acquire the mutex, competing deterministically with other lockers. *)
   mutex_lock rt th mid
+
+let record_signal rt th cid ~broadcast =
+  if broadcast then record_sync_int rt th ~op:rt.mh.mh_ops.broadcast "broadcast:" cid
+  else record_sync_int rt th ~op:rt.mh.mh_ops.signal "signal:" cid
 
 let rec cond_signal rt th cid ~broadcast =
   let c = cond_of rt cid in
@@ -1256,9 +1337,7 @@ let rec cond_signal rt th cid ~broadcast =
     (* Signalling with no waiter is purely local: nothing to wake, and the
        accompanying commit may be coalesced like any other under TSO, so
        the op need not end the coarsened chunk. *)
-    record_sync rt th
-    ~op:(if broadcast then rt.mh.mh_ops.broadcast else rt.mh.mh_ops.signal)
-    ((if broadcast then "broadcast:" else "signal:") ^ string_of_int cid);
+    record_signal rt th cid ~broadcast;
     th.coarsen_ops <- th.coarsen_ops + 1;
     charge rt th St.Runtime rt.costs.Cost_model.sync_op_base_ns
   end
@@ -1267,21 +1346,15 @@ let rec cond_signal rt th cid ~broadcast =
 and cond_signal_slow rt th cid ~broadcast =
   let c = cond_of rt cid in
   enter_coordination rt th;
-  let rec grant_one () =
-    if not (Queue.is_empty c.cond_waitq) then begin
-      let next = Queue.pop c.cond_waitq in
-      let waiter = thread rt next in
-      grant rt ~waker:th waiter ~before:(fun () -> waiter.cond_grant <- true);
-      charge rt th St.Runtime rt.costs.Cost_model.wake_ns;
-      if broadcast then grant_one ()
-    end
-  in
-  grant_one ();
+  let more = ref true in
+  while !more && not (Queue.is_empty c.cond_waitq) do
+    grant rt ~waker:th (thread rt (Queue.pop c.cond_waitq));
+    charge rt th St.Runtime rt.costs.Cost_model.wake_ns;
+    more := broadcast
+  done;
   commit_and_update rt th;
-  record_sync rt th
-    ~op:(if broadcast then rt.mh.mh_ops.broadcast else rt.mh.mh_ops.signal)
-    ((if broadcast then "broadcast:" else "signal:") ^ string_of_int cid);
-  emit_release rt th (Rt_event.obj_cond cid);
+  record_signal rt th cid ~broadcast;
+  emit_release rt th Rt_event.obj_cond cid;
   leave_coordination rt th
 
 let barrier_init rt th bid parties =
@@ -1303,9 +1376,10 @@ let barrier_wait rt th bid =
         content; charge only the cheap ordering work.  Phase 2 (the bulk
         merge) is charged after the token is released, so committers
         overlap. *)
-     let ci = ws_commit rt th in
-     stamp_commit rt th ci;
-     if ci.Vmem.Workspace.pages_committed > 0 then begin
+     if not (Vmem.Workspace.is_dirty th.ws) then stamp_clean rt th
+     else begin
+       let ci = ws_commit rt th in
+       stamp_commit rt th ci;
        let t0 = e_now rt in
        charge rt th St.Commit
          (c.Cost_model.commit_base_ns
@@ -1318,7 +1392,7 @@ let barrier_wait rt th bid =
            ~tid:th.tid ~t0
            ~args:[ ("pages", ci.Vmem.Workspace.pages_committed) ]
            ();
-       record_sync rt th ~op:rt.mh.mh_ops.commit ("commit:" ^ string_of_int ci.Vmem.Workspace.version);
+       record_sync_int rt th ~op:rt.mh.mh_ops.commit "commit:" ci.Vmem.Workspace.version;
        emit_conflicts rt th ci;
        if emitting rt then begin
          emit rt
@@ -1326,28 +1400,26 @@ let barrier_wait rt th bid =
               {
                 tid = th.tid;
                 version = ci.Vmem.Workspace.version;
-                pages = ci.Vmem.Workspace.committed_pages;
+                pages = Array.to_list ci.Vmem.Workspace.committed_pages;
               });
          emit_commit_hash rt th ci
-       end
-     end;
-     phase2_pages :=
-       (ci.Vmem.Workspace.pages_committed * c.Cost_model.page_commit_ns)
-       + (ci.Vmem.Workspace.pages_merged * c.Cost_model.page_merge_ns)
+       end;
+       phase2_pages :=
+         (ci.Vmem.Workspace.pages_committed * c.Cost_model.page_commit_ns)
+         + (ci.Vmem.Workspace.pages_merged * c.Cost_model.page_merge_ns)
+     end
    end
    else
      (* Serial barrier commit (DWC-style, paper section 5.2): the entire
         page volume is installed while holding the turn, so concurrent
         barrier committers serialize. *)
-     let ci = ws_commit rt th in
-     stamp_commit rt th ci;
-     charge_commit rt th ci);
+     commit_and_charge rt th);
   th.since_commit <- 0;
-  record_sync rt th ~op:rt.mh.mh_ops.barrier ("barrier:" ^ string_of_int bid);
-  emit_release rt th (Rt_event.obj_barrier bid);
+  record_sync rt th ~op:rt.mh.mh_ops.barrier (Sync_label.barrier bid);
+  emit_release rt th Rt_event.obj_barrier bid;
   b.arrived_tids <- th.tid :: b.arrived_tids;
   let last = List.length b.arrived_tids = b.parties in
-  th.barrier_grant <- false;
+  th.granted <- false;
   release_global rt th;
   charge rt th St.Runtime rt.costs.Cost_model.token_ns;
   (* Waiters run phase 2 and the internal (non-deterministic) barrier
@@ -1372,25 +1444,18 @@ let barrier_wait rt th bid =
     let others = List.filter (fun tid -> tid <> th.tid) b.arrived_tids in
     b.arrived_tids <- [];
     b.generation <- b.generation + 1;
-    List.iter
-      (fun tid ->
-        let w = thread rt tid in
-        grant rt ~waker:th w ~before:(fun () -> w.barrier_grant <- true))
-      others;
+    List.iter (fun tid -> grant rt ~waker:th (thread rt tid)) others;
     charge rt th St.Runtime (List.length others * rt.costs.Cost_model.wake_ns)
   end
   else
     (* The wake condition must be the grant itself: a stale wakeup permit
        plus a generation test could let a waiter slip out of the park
        before its grant ran (leaving it departed forever). *)
-    park rt th ~state:St.Barrier_wait
-      ~reason:(Printf.sprintf "barrier:%d" bid)
-      ~ready:(fun () -> th.barrier_grant);
+    park rt th ~state:St.Barrier_wait ~reason:(Sync_label.barrier bid);
   if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_barrier bid });
   (* Everyone updates to the latest version after the internal barrier;
      these updates run concurrently. *)
-  let ui = ws_update rt th in
-  charge_update rt th ui;
+  update_and_charge rt th;
   gc_and_sample rt;
   open_chunk rt th
 
@@ -1417,12 +1482,9 @@ let atomic_fetch_add rt th ~addr delta =
   let v = Vmem.Workspace.read_int th.ws ~addr in
   Vmem.Workspace.write_int th.ws ~addr (v + delta);
   charge_new_faults rt th before;
-  let ci = ws_commit rt th in
-  stamp_commit rt th ci;
-  charge_commit rt th ci;
-  let ui = ws_update rt th in
-  charge_update rt th ui;
-  record_sync rt th ~op:rt.mh.mh_ops.atomic ("atomic:" ^ string_of_int addr);
+  commit_and_charge rt th;
+  update_and_charge rt th;
+  record_sync_int rt th ~op:rt.mh.mh_ops.atomic "atomic:" addr;
   leave_coordination rt th;
   v
 
@@ -1438,26 +1500,26 @@ let rec make_ops rt th : Api.ops =
     read =
       (fun ~addr ~len ->
         consume rt th (mem_instr rt len);
-        unlocked_mem rt th (fun () -> Vmem.Workspace.read th.ws ~addr ~len));
+        unlocked_mem rt th (fun ws addr len -> Vmem.Workspace.read ws ~addr ~len) addr len);
     read_into =
       (fun ~addr buf ->
         consume rt th (mem_instr rt (Bytes.length buf));
-        unlocked_mem rt th (fun () -> Vmem.Workspace.read_into th.ws ~addr buf));
+        unlocked_mem rt th (fun ws addr buf -> Vmem.Workspace.read_into ws ~addr buf) addr buf);
     write =
       (fun ~addr buf ->
         consume rt th (mem_instr rt (Bytes.length buf));
         let before = (Vmem.Workspace.stats th.ws).Vmem.Workspace.write_faults in
-        unlocked_mem rt th (fun () -> Vmem.Workspace.write th.ws ~addr buf);
+        unlocked_mem rt th (fun ws addr buf -> Vmem.Workspace.write ws ~addr buf) addr buf;
         charge_new_faults rt th before);
     read_int =
       (fun ~addr ->
         consume rt th 1;
-        unlocked_mem rt th (fun () -> Vmem.Workspace.read_int th.ws ~addr));
+        unlocked_mem rt th (fun ws addr () -> Vmem.Workspace.read_int ws ~addr) addr ());
     write_int =
       (fun ~addr v ->
         consume rt th 1;
         let before = (Vmem.Workspace.stats th.ws).Vmem.Workspace.write_faults in
-        unlocked_mem rt th (fun () -> Vmem.Workspace.write_int th.ws ~addr v);
+        unlocked_mem rt th (fun ws addr v -> Vmem.Workspace.write_int ws ~addr v) addr v;
         charge_new_faults rt th before);
     fetch_add = (fun ~addr delta -> plain_fetch_add rt th ~addr delta);
     atomic_fetch_add = (fun ~addr delta -> atomic_fetch_add rt th ~addr delta);
@@ -1480,7 +1542,10 @@ let rec make_ops rt th : Api.ops =
            fault, no resident copy.  The pin is GC-safe because callers
            pin at-or-above their own workspace base (see Segment.read_bytes). *)
         consume rt th (mem_instr rt len);
-        unlocked_mem rt th (fun () -> Vmem.Segment.read_bytes rt.seg ~version ~addr ~len));
+        unlocked_mem rt th
+          (fun ws (version, addr) len ->
+            Vmem.Segment.read_bytes (Vmem.Workspace.segment ws) ~version ~addr ~len)
+          (version, addr) len);
     now_ns = (fun () -> e_now rt);
     metric_incr = (fun key by -> Obs.Metrics.incr rt.metrics ~by key);
     metric_observe = (fun key v -> Obs.Metrics.observe rt.metrics key v);
@@ -1524,7 +1589,7 @@ and new_thread_state rt ~tid ~name ~inherit_count =
     next_overflow_in = 0;
     chunk_start_instr = 0;
     since_commit = 0;
-    chunk_ewma = 0.0;
+    chunk_ewma = { v = 0.0 };
     coarsen_holding = false;
     coarsen_ops = 0;
     coarsen_start_instr = 0;
@@ -1532,11 +1597,9 @@ and new_thread_state rt ~tid ~name ~inherit_count =
     exited = false;
     parked = false;
     joiner = None;
-    lock_grant = false;
-    cond_grant = false;
-    join_grant = false;
-    barrier_grant = false;
-    post_site = None;
+    granted = false;
+    post_armed = false;
+    post_site = 0;
     post_site_instr = 0;
     post_ewma = Hashtbl.create 8;
     token_t0 = -1;
@@ -1557,7 +1620,7 @@ and thread_exit rt th =
   enter_coordination rt th;
   commit_and_update rt th;
   record_sync rt th ~op:rt.mh.mh_ops.exit "exit";
-  emit_release rt th (Rt_event.obj_thread th.tid ^ ":exit");
+  emit_release rt th Rt_event.obj_exit th.tid;
   th.exited <- true;
   if rt.cfg.thread_pool then rt.pool_size <- rt.pool_size + 1;
   release_global rt th;
@@ -1566,7 +1629,7 @@ and thread_exit rt th =
   rt.prof_enabler <- th.tid;
   fence_check rt ~waker:th.tid;
   (match th.joiner with
-  | Some j -> grant rt ~waker:th (thread rt j) ~before:(fun () -> (thread rt j).join_grant <- true)
+  | Some j -> grant rt ~waker:th (thread rt j)
   | None -> ());
   flush_sticky rt th;
   if is_real rt then begin
@@ -1604,18 +1667,17 @@ and spawn_thread rt th ?name body =
    end);
   let child = new_thread_state rt ~tid:child_tid ~name ~inherit_count:(Lc.published th.clock) in
   add_thread rt child;
-  emit_release rt th (Rt_event.obj_thread child_tid);
+  emit_release rt th Rt_event.obj_thread child_tid;
   let fiber_id =
     rt.ex.Sim.Exec.spawn ~name (fun () ->
         (* A recycled thread must refresh its view of memory. *)
         if emitting rt then emit rt (Rt_event.Acquire { tid = child_tid; obj = Rt_event.obj_thread child_tid });
-        let ui = ws_update rt child in
-        charge_update rt child ui;
+        update_and_charge rt child;
         body (make_ops rt child);
         thread_exit rt child)
   in
   assert (fiber_id = child_tid);
-  record_sync rt th ~op:rt.mh.mh_ops.spawn ("spawn:" ^ string_of_int child_tid);
+  record_sync_int rt th ~op:rt.mh.mh_ops.spawn "spawn:" child_tid;
   if tracing rt then
     span rt ~cat:Obs.Span.Fork
       ~name:(Printf.sprintf "spawn:%d" child_tid)
@@ -1639,11 +1701,9 @@ and join_thread rt th target_tid =
   if target.joiner <> None then invalid_arg (Printf.sprintf "join: thread %d already joined" target_tid);
   if not target.exited then begin
     target.joiner <- Some th.tid;
-    th.join_grant <- false;
+    th.granted <- false;
     close_chunk rt th;
-    park rt th ~state:St.Lock_wait
-      ~reason:(Printf.sprintf "join:%d" target_tid)
-      ~ready:(fun () -> th.join_grant);
+    park rt th ~state:St.Lock_wait ~reason:(Sync_label.join target_tid);
     Lc.resume th.clock;
     th.chunk_start_instr <- th.instr_retired
   end;
@@ -1651,8 +1711,8 @@ and join_thread rt th target_tid =
      child's final commits. *)
   enter_coordination rt th;
   commit_and_update rt th;
-  record_sync rt th ~op:rt.mh.mh_ops.join ("join:" ^ string_of_int target_tid);
-  if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_thread target_tid ^ ":exit" });
+  record_sync rt th ~op:rt.mh.mh_ops.join (Sync_label.join target_tid);
+  if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_exit target_tid });
   if tracing rt then
     span rt ~cat:Obs.Span.Join
       ~name:(Printf.sprintf "join:%d" target_tid)
@@ -1672,6 +1732,7 @@ and join_thread rt th target_tid =
 let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer
     ?(obs = Obs.Sink.null) ?on_sync (program : Api.t) =
   let nthreads = match nthreads with Some n -> n | None -> program.Api.default_threads in
+  (match Api.check_threads program nthreads with Ok () -> () | Error msg -> invalid_arg msg);
   let seg =
     Vmem.Segment.create ~name:program.Api.name ~pages:program.Api.heap_pages
       ~page_size:program.Api.page_size ()
@@ -1710,9 +1771,12 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
       pool_size = 0;
       overflow_interrupts = 0;
       coarsened_chunks = 0;
-      fence_arrived = Hashtbl.create 16;
+      fence_arrived = Array.make 8 false;
+      fence_count = 0;
       fence_generation = 0;
-      serial_queue = [];
+      serial_ring = Array.make 8 0;
+      serial_head = 0;
+      serial_len = 0;
       serial_acquisitions = 0;
       observer;
       race_stamp = Hashtbl.create 256;

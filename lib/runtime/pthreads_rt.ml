@@ -22,7 +22,7 @@ type thread_state = {
          current wait; -1 = none.  Observability only. *)
 }
 
-type mutex_rec = { mutable held_by : int option; waitq : int Queue.t }
+type mutex_rec = { mutable held_by : int; (* -1 = free *) waitq : int Queue.t }
 type cond_rec = { cond_waitq : int Queue.t }
 type barrier_rec = {
   mutable parties : int;
@@ -117,11 +117,13 @@ let charge_wait rt th ~state ~scat ~key ~name ~t0 =
 let emitting rt = rt.observer <> None
 let emit rt ev = match rt.observer with Some f -> f ev | None -> ()
 
-let emit_acquire rt th obj = if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj })
+(* The object's name, [obj id], is only built when somebody listens. *)
+let emit_acquire rt th obj id =
+  if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = obj id })
 
-let emit_release rt th obj =
+let emit_release rt th obj id =
   if emitting rt then begin
-    emit rt (Rt_event.Release { tid = th.tid; obj });
+    emit rt (Rt_event.Release { tid = th.tid; obj = obj id });
     th.epoch <- th.epoch + 1
   end
 
@@ -182,10 +184,10 @@ let note_write rt th ?(report = true) ~addr ~len () =
   end
 
 let mutex_of rt id =
-  match Hashtbl.find_opt rt.mutexes id with
-  | Some m -> m
-  | None ->
-      let m = { held_by = None; waitq = Queue.create () } in
+  match Hashtbl.find rt.mutexes id with
+  | m -> m
+  | exception Not_found ->
+      let m = { held_by = -1; waitq = Queue.create () } in
       Hashtbl.replace rt.mutexes id m;
       m
 
@@ -272,7 +274,7 @@ let fetch_add rt th ~report ~addr delta =
 let mutex_lock rt th mid =
   let m = mutex_of rt mid in
   charge rt th St.Runtime rt.costs.Cost_model.pthread_lock_ns;
-  if m.held_by = None then m.held_by <- Some th.tid
+  if m.held_by < 0 then m.held_by <- th.tid
   else begin
     th.lock_grant <- false;
     Queue.push th.tid m.waitq;
@@ -282,18 +284,18 @@ let mutex_lock rt th mid =
     done;
     charge_wait rt th ~state:St.Lock_wait ~scat:Obs.Span.Lock_wait ~key:"lock_wait_ns"
       ~name:(Sync_label.lock mid) ~t0;
-    m.held_by <- Some th.tid
+    m.held_by <- th.tid
   end;
   record_sync rt th ~op:rt.ops.lock (Sync_label.lock mid);
-  emit_acquire rt th (Rt_event.obj_mutex mid)
+  emit_acquire rt th Rt_event.obj_mutex mid
 
 let mutex_unlock rt th mid =
   let m = mutex_of rt mid in
-  if m.held_by <> Some th.tid then
+  if m.held_by <> th.tid then
     invalid_arg (Printf.sprintf "unlock: thread %d does not hold mutex %d" th.tid mid);
   charge rt th St.Runtime rt.costs.Cost_model.pthread_unlock_ns;
-  emit_release rt th (Rt_event.obj_mutex mid);
-  m.held_by <- None;
+  emit_release rt th Rt_event.obj_mutex mid;
+  m.held_by <- -1;
   if not (Queue.is_empty m.waitq) then begin
     let next = Queue.pop m.waitq in
     let w = thread rt next in
@@ -315,11 +317,11 @@ let cond_wait rt th cid mid =
   mutex_unlock rt th mid;
   let t0 = Sim.Engine.now rt.eng in
   while not th.cond_grant do
-    Sim.Engine.block rt.eng ~reason:("cond:" ^ string_of_int cid)
+    Sim.Engine.block rt.eng ~reason:(Sync_label.cond_reason cid)
   done;
   charge_wait rt th ~state:St.Lock_wait ~scat:Obs.Span.Lock_wait ~key:"lock_wait_ns"
-    ~name:("cond:" ^ string_of_int cid) ~t0;
-  emit_acquire rt th (Rt_event.obj_cond cid);
+    ~name:(Sync_label.cond_reason cid) ~t0;
+  emit_acquire rt th Rt_event.obj_cond cid;
   mutex_lock rt th mid
 
 let cond_signal rt th cid ~broadcast =
@@ -340,7 +342,7 @@ let cond_signal rt th cid ~broadcast =
   record_sync rt th
     ~op:(if broadcast then rt.ops.broadcast else rt.ops.signal)
     ((if broadcast then "broadcast:" else "signal:") ^ string_of_int cid);
-  emit_release rt th (Rt_event.obj_cond cid)
+  emit_release rt th Rt_event.obj_cond cid
 
 let barrier_init _rt _th b parties =
   if parties <= 0 then invalid_arg "barrier_init: parties must be > 0";
@@ -350,8 +352,8 @@ let barrier_wait rt th bid =
   let b = barrier_of rt bid in
   if b.parties = 0 then invalid_arg (Printf.sprintf "barrier %d: not initialized" bid);
   charge rt th St.Runtime rt.costs.Cost_model.pthread_barrier_ns;
-  record_sync rt th ~op:rt.ops.barrier ("barrier:" ^ string_of_int bid);
-  emit_release rt th (Rt_event.obj_barrier bid);
+  record_sync rt th ~op:rt.ops.barrier (Sync_label.barrier bid);
+  emit_release rt th Rt_event.obj_barrier bid;
   b.arrived_tids <- th.tid :: b.arrived_tids;
   if List.length b.arrived_tids = b.parties then begin
     let others = List.filter (fun tid -> tid <> th.tid) b.arrived_tids in
@@ -367,14 +369,14 @@ let barrier_wait rt th bid =
     let gen = b.generation in
     let t0 = Sim.Engine.now rt.eng in
     while b.generation = gen do
-      Sim.Engine.block rt.eng ~reason:("barrier:" ^ string_of_int bid)
+      Sim.Engine.block rt.eng ~reason:(Sync_label.barrier bid)
     done;
     charge_wait rt th ~state:St.Barrier_wait ~scat:Obs.Span.Barrier_wait
       ~key:"barrier_wait_ns"
-      ~name:("barrier:" ^ string_of_int bid)
+      ~name:(Sync_label.barrier bid)
       ~t0
   end;
-  emit_acquire rt th (Rt_event.obj_barrier bid)
+  emit_acquire rt th Rt_event.obj_barrier bid
 
 let rec make_ops rt th : Api.ops =
   {
@@ -440,7 +442,7 @@ and new_thread_state rt ~tid ~tname =
 
 and thread_exit rt th =
   record_sync rt th ~op:rt.ops.exit "exit";
-  emit_release rt th (Rt_event.obj_thread th.tid ^ ":exit");
+  emit_release rt th Rt_event.obj_exit th.tid;
   th.exited <- true;
   match th.joiner with
   | Some j ->
@@ -457,10 +459,10 @@ and spawn_thread rt th ?name body =
   let tname = match name with Some n -> n | None -> Sync_label.thread_name child_tid in
   let child = new_thread_state rt ~tid:child_tid ~tname in
   Hashtbl.replace rt.threads child_tid child;
-  emit_release rt th (Rt_event.obj_thread child_tid);
+  emit_release rt th Rt_event.obj_thread child_tid;
   let fiber_id =
     Sim.Engine.spawn rt.eng ~name:tname (fun () ->
-        emit_acquire rt child (Rt_event.obj_thread child_tid);
+        emit_acquire rt child Rt_event.obj_thread child_tid;
         body (make_ops rt child);
         thread_exit rt child)
   in
@@ -488,11 +490,12 @@ and join_thread rt th target_tid =
       ~t0
   end;
   record_sync rt th ~op:rt.ops.join ("join:" ^ string_of_int target_tid);
-  emit_acquire rt th (Rt_event.obj_thread target_tid ^ ":exit")
+  emit_acquire rt th Rt_event.obj_exit target_tid
 
 let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Obs.Sink.null)
     ?on_sync (program : Api.t) =
   let nthreads = match nthreads with Some n -> n | None -> program.Api.default_threads in
+  (match Api.check_threads program nthreads with Ok () -> () | Error msg -> invalid_arg msg);
   let eng = Sim.Engine.create ~seed () in
   let metrics = Obs.Metrics.create () in
   let rt =

@@ -73,6 +73,9 @@ val obj_cond : int -> string
 val obj_barrier : int -> string
 val obj_thread : int -> string
 
+val obj_exit : int -> string
+(** The object a thread's exit releases and its joiner acquires. *)
+
 val label : t -> string
 (** Short instant name used for trace spans: ["commit:v12"],
     ["rel:m:3"], ["acq:b:0"], ["conflict:p4+16..23"]. *)

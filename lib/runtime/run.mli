@@ -51,7 +51,10 @@ val run :
   ?obs:Obs.Sink.t ->
   Api.t ->
   Stats.Run_result.t
-(** [observer] receives the runtime's happens-before events.  Under the
+(** Raises [Invalid_argument] with {!Api.check_threads}'s message, before
+    anything runs, when [nthreads] is below 1 or above the program's
+    [max_threads].
+    [observer] receives the runtime's happens-before events.  Under the
     deterministic runtimes the stream follows the global token order and
     is seed-invariant; under [Pthreads] it follows simulated wall-clock
     order and varies with the seed for racy programs.  [obs] receives

@@ -3,6 +3,9 @@ let interned prefix = Array.init n_interned (fun i -> prefix ^ string_of_int i)
 let interned_lock = interned "lock:"
 let interned_unlock = interned "unlock:"
 let interned_tname = interned "t"
+let interned_cond = interned "cond:"
+let interned_barrier = interned "barrier:"
+let interned_join = interned "join:"
 
 let label table prefix i =
   if i >= 0 && i < n_interned then table.(i) else prefix ^ string_of_int i
@@ -10,6 +13,9 @@ let label table prefix i =
 let lock mid = label interned_lock "lock:" mid
 let unlock mid = label interned_unlock "unlock:" mid
 let thread_name tid = label interned_tname "t" tid
+let cond_reason cid = label interned_cond "cond:" cid
+let barrier bid = label interned_barrier "barrier:" bid
+let join tid = label interned_join "join:" tid
 
 type counters = {
   lock : Obs.Metrics.counter;

@@ -16,6 +16,15 @@ val unlock : int -> string
 val thread_name : int -> string
 (** ["t<tid>"], the default name of a spawned thread. *)
 
+val cond_reason : int -> string
+(** ["cond:<cid>"], the block reason of a condition wait. *)
+
+val barrier : int -> string
+(** ["barrier:<bid>"], a barrier's sync label and block reason. *)
+
+val join : int -> string
+(** ["join:<tid>"], a join's sync label and block reason. *)
+
 type counters = {
   lock : Obs.Metrics.counter;
   unlock : Obs.Metrics.counter;

@@ -9,29 +9,48 @@ exception Stuck of string
 (* Raised inside a fiber to unwind it; caught by the fiber wrapper. *)
 exception Fiber_exit
 
-type _ Effect.t += Advance : int -> unit Effect.t
-type _ Effect.t += Block : string -> unit Effect.t
+(* Both effects are constant constructors, so performing one allocates
+   nothing: the duration of an [Advance] and the reason of a [Block]
+   travel on the fiber record instead of in the effect value. *)
+type _ Effect.t += Advance : unit Effect.t
+type _ Effect.t += Block : unit Effect.t
 
-(* What to run when a queued event for this fiber is dispatched.  Kept on
-   the fiber record so the event queues only carry fiber ids (immediate
-   ints): scheduling an event allocates no closure and no heap entry. *)
-type resume_kind =
-  | Start of (unit -> unit) (* first dispatch: run the fiber body *)
-  | Resume of (unit, unit) continuation
-  | No_resume
+type _ Effect.t += Capture : unit Effect.t
+
+(* A continuation that is never resumed: the value of a fiber's [cont]
+   while it has nothing to resume.  It is a real suspended computation
+   (captured once, here), so the field needs no option box. *)
+let no_cont : (unit, unit) continuation =
+  let captured = ref None in
+  try_with perform Capture
+    {
+      effc =
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+          match eff with
+          | Capture -> Some (fun (k : (unit, unit) continuation) -> captured := Some k)
+          | _ -> None);
+    };
+  Option.get !captured
 
 type fiber_state =
   | Ready (* an event in a queue will resume it *)
   | Running
-  | Blocked of (unit, unit) continuation * string
+  | Blocked (* [cont] holds the continuation, [reason] says why *)
   | Finished
 
+(* What to run when a queued event for this fiber is dispatched is kept
+   on the fiber record, so the event queues only carry fiber ids
+   (immediate ints): scheduling an event allocates no closure and no heap
+   entry. *)
 type fiber = {
   id : tid;
   name : string;
   mutable state : fiber_state;
-  mutable resume : resume_kind;
+  mutable body : (unit -> unit) option; (* [Some] until the first dispatch runs it *)
+  mutable cont : (unit, unit) continuation; (* what the next dispatch resumes, or [no_cont] *)
   mutable pending_wakeup : bool;
+  mutable advance_ns : int; (* duration of the Advance being performed *)
+  mutable reason : string; (* block reason; meaningful while Blocked *)
 }
 
 type t = {
@@ -59,7 +78,16 @@ type t = {
 }
 
 let dummy_fiber =
-  { id = -1; name = ""; state = Finished; resume = No_resume; pending_wakeup = false }
+  {
+    id = -1;
+    name = "";
+    state = Finished;
+    body = None;
+    cont = no_cont;
+    pending_wakeup = false;
+    advance_ns = 0;
+    reason = "";
+  }
 
 let create ?(max_events = 50_000_000) ~seed () =
   {
@@ -137,11 +165,27 @@ let schedule_at t fiber ~key =
   if key = t.now then fifo_push t fiber.id (fresh_seq t)
   else Heap.push_seq t.queue ~key ~seq:(fresh_seq t) fiber.id
 
-let schedule_resume t fiber k =
-  fiber.resume <- Resume k;
-  schedule_now t fiber
-
+(* The two effect handlers are built once per fiber, not once per
+   perform: each is a closure over [fiber] wrapped in its [Some]. *)
 let run_fiber t fiber body =
+  let on_advance =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        fiber.cont <- k;
+        schedule_at t fiber ~key:(t.now + fiber.advance_ns))
+  in
+  let on_block =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        fiber.cont <- k;
+        if fiber.pending_wakeup then begin
+          (* A wakeup arrived before we blocked: consume the permit and
+             resume at the current instant. *)
+          fiber.pending_wakeup <- false;
+          schedule_now t fiber
+        end
+        else fiber.state <- Blocked)
+  in
   match_with
     (fun () -> (try body () with Fiber_exit -> ()))
     ()
@@ -152,31 +196,26 @@ let run_fiber t fiber body =
           fiber.state <- Finished;
           raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Advance ns ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  fiber.resume <- Resume k;
-                  schedule_at t fiber ~key:(t.now + ns))
-          | Block reason ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  if fiber.pending_wakeup then begin
-                    (* A wakeup arrived before we blocked: consume the
-                       permit and resume at the current instant. *)
-                    fiber.pending_wakeup <- false;
-                    schedule_resume t fiber k
-                  end
-                  else fiber.state <- Blocked (k, reason))
-          | _ -> None);
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+          match eff with Advance -> on_advance | Block -> on_block | _ -> None);
     }
 
 let spawn t ?name body =
   let id = t.next_id in
   t.next_id <- id + 1;
   let name = match name with Some n -> n | None -> Printf.sprintf "fiber-%d" id in
-  let fiber = { id; name; state = Ready; resume = Start body; pending_wakeup = false } in
+  let fiber =
+    {
+      id;
+      name;
+      state = Ready;
+      body = Some body;
+      cont = no_cont;
+      pending_wakeup = false;
+      advance_ns = 0;
+      reason = "";
+    }
+  in
   let cap = Array.length t.fibers in
   if id >= cap then begin
     let grown = Array.make (cap * 2) dummy_fiber in
@@ -190,13 +229,14 @@ let spawn t ?name body =
 let wakeup t id =
   let fiber = fiber_of t id in
   match fiber.state with
-  | Blocked (k, _) -> schedule_resume t fiber k
+  | Blocked -> schedule_now t fiber
   | Finished -> ()
   | Ready | Running -> fiber.pending_wakeup <- true
 
 let blocked_reason t id =
-  match (fiber_of t id).state with
-  | Blocked (_, reason) -> Some reason
+  let fiber = fiber_of t id in
+  match fiber.state with
+  | Blocked -> Some fiber.reason
   | Ready | Running | Finished -> None
 
 let is_finished t id = (fiber_of t id).state = Finished
@@ -228,19 +268,23 @@ let advance t ns =
            (Printf.sprintf "event budget (%d) exhausted at t=%dns" t.max_events t.now));
     t.now <- t.now + ns
   end
-  else perform (Advance ns)
+  else begin
+    t.fibers.(self t).advance_ns <- ns;
+    perform Advance
+  end
 
 let block t ~reason =
-  ignore t;
-  perform (Block reason)
+  t.fibers.(self t).reason <- reason;
+  perform Block
 
 let exit_fiber _t = raise Fiber_exit
 
 let stuck_fibers t =
   let acc = ref [] in
   for id = t.next_id - 1 downto 0 do
-    match t.fibers.(id).state with
-    | Blocked (_, reason) -> acc := (t.fibers.(id).name, reason) :: !acc
+    let fiber = t.fibers.(id) in
+    match fiber.state with
+    | Blocked -> acc := (fiber.name, fiber.reason) :: !acc
     | Ready | Running | Finished -> ()
   done;
   !acc
@@ -248,14 +292,17 @@ let stuck_fibers t =
 let dispatch t id =
   t.dispatches <- t.dispatches + 1;
   let fiber = Array.unsafe_get t.fibers id in
-  let resume = fiber.resume in
-  fiber.resume <- No_resume;
+  let k = fiber.cont in
+  fiber.cont <- no_cont;
   fiber.state <- Running;
   t.current <- id;
-  match resume with
-  | Start body -> run_fiber t fiber body
-  | Resume k -> continue k ()
-  | No_resume -> assert false
+  match fiber.body with
+  | Some body ->
+      fiber.body <- None;
+      run_fiber t fiber body
+  | None ->
+      assert (k != no_cont);
+      continue k ()
 
 let run t =
   let rec loop () =

@@ -5,7 +5,11 @@
     from an explicitly seeded generator, so a simulation run is a pure
     function of its seed.  The generator is SplitMix64: tiny state, good
     statistical quality, and [split] lets independent subsystems derive
-    uncorrelated streams from one master seed. *)
+    uncorrelated streams from one master seed.
+
+    The state is kept unboxed, so {!int}, {!bool} and {!jittered}
+    allocate nothing, and {!float}, {!jitter} and {!next_int64} allocate
+    only their boxed result. *)
 
 type t
 
@@ -33,6 +37,13 @@ val jitter : t -> amplitude:float -> float
 (** [jitter t ~amplitude] is uniform in [\[1 -. amplitude, 1 +. amplitude]],
     used as a multiplicative latency perturbation.  [amplitude] must be in
     [\[0, 1)]. *)
+
+val jittered : t -> amplitude:float -> scale:float -> int -> int
+(** [jittered t ~amplitude ~scale n] is
+    [int_of_float (float_of_int n *. scale *. jitter t ~amplitude)],
+    bit for bit, drawn without boxing a float: the whole product is
+    computed inside this module, so only ints cross its boundary.  This
+    is the per-chunk latency draw of the runtimes' cost model. *)
 
 val bool : t -> bool
 

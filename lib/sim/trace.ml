@@ -14,7 +14,9 @@ let create () =
    libraries [-opaque], and a cross-module call would box both ends. *)
 let[@inline] byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) Fnv.prime
 
-let record t ~time ~tid ~label =
+(* Fold one event; with [numbered], the decimal digits of [n] follow
+   [label], exactly as if the label were [label ^ string_of_int n]. *)
+let fold t ~time ~tid ~label ~numbered n =
   t.count <- t.count + 1;
   let h = ref (Bytes.get_int64_le t.st 0) and th = ref (Bytes.get_int64_le t.st 8) in
   for shift = 0 to 7 do
@@ -30,8 +32,28 @@ let record t ~time ~tid ~label =
     h := byte !h b;
     th := byte !th b
   done;
+  if numbered then begin
+    if n < 0 then begin
+      h := byte !h (Char.code '-');
+      th := byte !th (Char.code '-')
+    end;
+    (* [p] is the place value of [n]'s leading digit. *)
+    let p = ref 1 in
+    while n / !p >= 10 || n / !p <= -10 do
+      p := !p * 10
+    done;
+    while !p > 0 do
+      let b = Char.code '0' + abs (n / !p mod 10) in
+      h := byte !h b;
+      th := byte !th b;
+      p := !p / 10
+    done
+  end;
   Bytes.set_int64_le t.st 0 !h;
   Bytes.set_int64_le t.st 8 !th
+
+let record t ~time ~tid ~label = fold t ~time ~tid ~label ~numbered:false 0
+let record_int t ~time ~tid ~label n = fold t ~time ~tid ~label ~numbered:true n
 
 let length t = t.count
 let hash t = Fnv.to_hex (Bytes.get_int64_le t.st 0)

@@ -15,6 +15,11 @@ val record : t -> time:int -> tid:int -> label:string -> unit
     {!timed_hash} (each int as its 8 little-endian bytes, as {!Fnv.int}).
     Allocates nothing. *)
 
+val record_int : t -> time:int -> tid:int -> label:string -> int -> unit
+(** [record_int t ~time ~tid ~label n] is
+    [record t ~time ~tid ~label:(label ^ string_of_int n)], digest for
+    digest, without building the string.  Allocates nothing. *)
+
 val length : t -> int
 (** Number of events recorded. *)
 

@@ -127,14 +127,6 @@ let hist_index h ~len a v =
     end
   end
 
-(* [hist_index] plus the snapshot it indexes into; only [read_page] uses
-   it.  Its tuple is one of the allocations left on purpose: removing it
-   moved kv_spread's peak heap by up to 16% (see ROADMAP). *)
-let hist_lookup h v =
-  let len = Atomic.get h.len in
-  let a = Atomic.get h.arrays in
-  (hist_index h ~len a v, a)
-
 let hist_latest h ~zero =
   let len = Atomic.get h.len in
   if len = 0 then zero
@@ -214,7 +206,10 @@ let rec next_reclaimable t i hi =
 let read_page t ~version i =
   check_page t i;
   let h = t.histories.(i) in
-  let k, a = hist_lookup h version in
+  (* [len] before [arrays]: see the [hist] comment. *)
+  let len = Atomic.get h.len in
+  let a = Atomic.get h.arrays in
+  let k = hist_index h ~len a version in
   if k < 0 then t.zero else a.ps.(k)
 
 let last_mod t i =
@@ -236,7 +231,7 @@ let read_bytes t ~version ~addr ~len =
   done;
   out
 
-let install_page t vnum (i, page) =
+let install_page t vnum i page =
   hist_append t.histories.(i) ~zero:t.zero vnum page;
   t.last_mod_arr.(i) <- vnum
 
@@ -246,36 +241,29 @@ let parallel_install_threshold = 64
 
 (* Install a multi-shard footprint with one pool worker per shard.  Page
    indices within a commit are distinct, so workers touch disjoint
-   histories; each worker owns its shard's live counter (under the shard
-   lock, so installs remain safe if commits ever arrive from several
-   domains).  Refuses — caller falls back to the serial loop — when the
-   shared pool is busy with another job. *)
-let install_sharded t vnum pages npages_committed =
-  let groups = Array.make t.nshards [] in
-  let nonempty = ref 0 in
-  List.iter
-    (fun ((i, _) as pg) ->
-      let s = shard_of_page t i in
-      if groups.(s) = [] then incr nonempty;
-      groups.(s) <- pg :: groups.(s))
-    pages;
-  !nonempty > 1
+   histories; each worker scans the footprint for its own shard's pages
+   and owns that shard's live counter (under the shard lock, so installs
+   remain safe if commits ever arrive from several domains).  Refuses —
+   caller falls back to the serial loop — when the footprint lies in one
+   shard or the shared pool is busy with another job. *)
+let install_sharded t vnum idxs pages =
+  let first = shard_of_page t idxs.(0) in
+  Array.exists (fun i -> shard_of_page t i <> first) idxs
   &&
   let ran =
     try
       Sim.Par.try_run_pool (Sim.Par.shared_pool ()) t.nshards (fun s ->
-          match groups.(s) with
-          | [] -> ()
-          | g ->
-              Mutex.lock t.shard_locks.(s);
-              Fun.protect
-                ~finally:(fun () -> Mutex.unlock t.shard_locks.(s))
-                (fun () ->
-                  List.iter
-                    (fun pg ->
-                      install_page t vnum pg;
-                      t.shard_live.(s) <- t.shard_live.(s) + 1)
-                    g))
+          Mutex.lock t.shard_locks.(s);
+          Fun.protect
+            ~finally:(fun () -> Mutex.unlock t.shard_locks.(s))
+            (fun () ->
+              Array.iteri
+                (fun k i ->
+                  if shard_of_page t i = s then begin
+                    install_page t vnum i pages.(k);
+                    t.shard_live.(s) <- t.shard_live.(s) + 1
+                  end)
+                idxs))
     with e ->
       (* A worker raised mid-install: pages installed before the failure
          bumped their [shard_live], but the bulk [live] add below never
@@ -285,42 +273,43 @@ let install_sharded t vnum pages npages_committed =
       t.live <- Array.fold_left ( + ) 0 t.shard_live;
       raise e
   in
-  if ran then t.live <- t.live + npages_committed;
+  if ran then t.live <- t.live + Array.length idxs;
   ran
 
-let commit t ~committer ~pages =
+let commit t ~committer ~idxs ~pages =
+  let n = Array.length idxs in
+  if Array.length pages <> n then
+    invalid_arg (Printf.sprintf "Segment %s: %d pages for %d indices in commit" t.name
+                   (Array.length pages) n);
   let vnum = current_version t + 1 in
-  let idxs = Array.of_list (List.map fst pages) in
   t.gen <- t.gen + 1;
-  List.iter
-    (fun (i, page) ->
-      check_page t i;
-      if t.seen_gen.(i) = t.gen then
-        invalid_arg (Printf.sprintf "Segment %s: duplicate page %d in commit" t.name i);
-      if Bytes.length page <> t.page_size then
-        invalid_arg (Printf.sprintf "Segment %s: bad page size in commit" t.name);
-      t.seen_gen.(i) <- t.gen)
-    pages;
+  for k = 0 to n - 1 do
+    let i = idxs.(k) in
+    check_page t i;
+    if t.seen_gen.(i) = t.gen then
+      invalid_arg (Printf.sprintf "Segment %s: duplicate page %d in commit" t.name i);
+    if Bytes.length pages.(k) <> t.page_size then
+      invalid_arg (Printf.sprintf "Segment %s: bad page size in commit" t.name);
+    t.seen_gen.(i) <- t.gen
+  done;
   (* The commit is valid: account it here, serially, before any install
      can fan out to pool workers. *)
-  Array.iter
-    (fun i ->
-      if t.last_mod_arr.(i) = 0 then t.touched <- t.touched + 1;
-      if Atomic.get t.histories.(i).len > 0 then set_reclaimable t i)
-    idxs;
-  let npages_committed = Array.length idxs in
+  for k = 0 to n - 1 do
+    let i = idxs.(k) in
+    if t.last_mod_arr.(i) = 0 then t.touched <- t.touched + 1;
+    if Atomic.get t.histories.(i).len > 0 then set_reclaimable t i
+  done;
   let installed_parallel =
-    t.nshards > 1
-    && npages_committed >= parallel_install_threshold
-    && install_sharded t vnum pages npages_committed
+    t.nshards > 1 && n >= parallel_install_threshold && install_sharded t vnum idxs pages
   in
   if not installed_parallel then
-    List.iter
-      (fun ((i, _) as pg) ->
-        install_page t vnum pg;
-        t.shard_live.(shard_of_page t i) <- t.shard_live.(shard_of_page t i) + 1;
-        t.live <- t.live + 1)
-      pages;
+    for k = 0 to n - 1 do
+      let i = idxs.(k) in
+      install_page t vnum i pages.(k);
+      let s = shard_of_page t i in
+      t.shard_live.(s) <- t.shard_live.(s) + 1;
+      t.live <- t.live + 1
+    done;
   Sim.Vec.push t.versions { committer; page_idxs = idxs };
   vnum
 
@@ -329,47 +318,40 @@ let committer_of t v =
     invalid_arg (Printf.sprintf "Segment %s: no committer for version %d" t.name v);
   (Sim.Vec.get t.versions (v - 1)).committer
 
-let fold_modified_since t ~since f acc =
-  let upto = current_version t in
-  let acc = ref acc in
-  for v = since + 1 to upto do
-    let entry = Sim.Vec.get t.versions (v - 1) in
-    acc := f !acc entry
-  done;
-  !acc
-
+(* Each window scan below counts a page once: page [i] was already seen
+   in the current scan iff [seen_gen.(i) = gen]. *)
 let modified_since t ~since =
   t.gen <- t.gen + 1;
-  let distinct =
-    fold_modified_since t ~since
-      (fun acc entry ->
-        Array.fold_left
-          (fun acc i ->
-            if t.seen_gen.(i) = t.gen then acc
-            else begin
-              t.seen_gen.(i) <- t.gen;
-              i :: acc
-            end)
-          acc entry.page_idxs)
-      []
-  in
-  List.sort (fun (a : int) b -> compare a b) distinct
+  let distinct = ref [] in
+  for v = since + 1 to current_version t do
+    let idxs = (Sim.Vec.get t.versions (v - 1)).page_idxs in
+    for k = 0 to Array.length idxs - 1 do
+      let i = idxs.(k) in
+      if t.seen_gen.(i) <> t.gen then begin
+        t.seen_gen.(i) <- t.gen;
+        distinct := i :: !distinct
+      end
+    done
+  done;
+  List.sort (fun (a : int) b -> compare a b) !distinct
 
 let modified_since_by_others t ~since ~tid =
   t.gen <- t.gen + 1;
-  fold_modified_since t ~since
-    (fun acc entry ->
-      if entry.committer = tid then acc
-      else
-        Array.fold_left
-          (fun acc i ->
-            if t.seen_gen.(i) = t.gen then acc
-            else begin
-              t.seen_gen.(i) <- t.gen;
-              acc + 1
-            end)
-          acc entry.page_idxs)
-    0
+  let n = ref 0 in
+  for v = since + 1 to current_version t do
+    let entry = Sim.Vec.get t.versions (v - 1) in
+    if entry.committer <> tid then begin
+      let idxs = entry.page_idxs in
+      for k = 0 to Array.length idxs - 1 do
+        let i = idxs.(k) in
+        if t.seen_gen.(i) <> t.gen then begin
+          t.seen_gen.(i) <- t.gen;
+          incr n
+        end
+      done
+    end
+  done;
+  !n
 
 let versions_created t = current_version t
 let live_snapshots t = t.live

@@ -66,10 +66,13 @@ val read_bytes : t -> version:version -> addr:int -> len:int -> Bytes.t
     callers satisfy this by pinning at-or-above their own workspace
     base, which bounds [min_base] while the thread is live. *)
 
-val commit : t -> committer:int -> pages:(int * Page.t) list -> version
-(** Install the given page snapshots as a new version and return its
-    number.  The segment takes ownership of the snapshot buffers.  Page
-    indices must be distinct and in range.
+val commit : t -> committer:int -> idxs:int array -> pages:Page.t array -> version
+(** [commit t ~committer ~idxs ~pages] installs snapshot [pages.(k)] of
+    page [idxs.(k)], for every [k], as a new version and returns its
+    number.  The two arrays must have equal lengths; page indices must be
+    distinct and in range.  The segment takes ownership of the snapshot
+    buffers and of [idxs], which it keeps as the version's page list:
+    the caller must not mutate either afterwards.
 
     When the segment is sharded and the footprint is large and spans
     several shards, the installs fan out across the shared

@@ -24,7 +24,28 @@
     an update that must refresh a stale resident simply re-points it at
     the fresh snapshot.  The next write fault copies the page back into
     private ownership, so the observable semantics (and all counters)
-    are exactly those of the always-copy scheme, minus the copies. *)
+    are exactly those of the always-copy scheme, minus the copies.
+
+    {2 Page table}
+
+    The workspace is the thread's page table, kept in two levels like a
+    hardware one.  Page [i] maps to slot [i mod 32] of leaf [i / 32]; a
+    leaf holds the 32 slots' resident copies and twins (a page is dirty
+    exactly when its slot holds a twin) plus a bitmask of the slots that
+    alias segment snapshots.  Leaves are allocated on the thread's first
+    write fault in their range, so a table costs one directory word per
+    32 segment pages plus about 70 words per touched leaf: memory in
+    proportion to what the thread touches, not to the segment.  Beside
+    the table sit two int stacks, grown by doubling: the resident pages
+    (walked by {!update} and {!drop_residents}) and the dirty pages
+    (sorted in place by {!seal}).
+
+    Cost: a resident read, a write to an already-dirty page, {!read_int},
+    {!write_int} and {!read_into} are a directory and a slot load and
+    allocate nothing; {!update} with no stale resident allocates only its
+    result.  A commit allocates the copies the semantics require (the
+    first write fault's private copy, a merge target per conflicting
+    page) plus its page-index and snapshot arrays and its result. *)
 
 type t
 
@@ -47,7 +68,9 @@ type commit_info = {
   pages_committed : int;
   pages_merged : int;  (** pages that hit a concurrent writer and needed a byte merge *)
   bytes_merged : int;
-  committed_pages : int list;  (** indices of the committed pages, ascending *)
+  committed_pages : int array;
+      (** indices of the committed pages, ascending; shared with the
+          segment's version log, so it must not be mutated *)
   conflicts : conflict list;
       (** byte-exact conflict tuples, ascending by (page, first_byte);
           always [[]] unless {!set_track_conflicts} enabled capture *)

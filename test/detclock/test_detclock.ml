@@ -425,33 +425,33 @@ let test_token_eligible_now () =
 let test_ofp_base_and_doubling () =
   let p = Ofp.create (Ofp.Adaptive { base = 5_000; cap = 40_000 }) in
   Ofp.begin_chunk p;
-  check_int "base" 5_000 (Ofp.next_interval p ~waiter_gap:0);
-  check_int "doubled" 10_000 (Ofp.next_interval p ~waiter_gap:0);
-  check_int "doubled again" 20_000 (Ofp.next_interval p ~waiter_gap:0)
+  check_int "base" 5_000 (Ofp.next_interval ~ic:0 p ~waiter_gap:0);
+  check_int "doubled" 10_000 (Ofp.next_interval ~ic:0 p ~waiter_gap:0);
+  check_int "doubled again" 20_000 (Ofp.next_interval ~ic:0 p ~waiter_gap:0)
 
 let test_ofp_chunk_reset () =
   let p = Ofp.create (Ofp.Adaptive { base = 5_000; cap = 40_000 }) in
   Ofp.begin_chunk p;
-  ignore (Ofp.next_interval p ~waiter_gap:0);
-  ignore (Ofp.next_interval p ~waiter_gap:0);
+  ignore (Ofp.next_interval ~ic:0 p ~waiter_gap:0);
+  ignore (Ofp.next_interval ~ic:0 p ~waiter_gap:0);
   Ofp.begin_chunk p;
-  check_int "reset to base" 5_000 (Ofp.next_interval p ~waiter_gap:0)
+  check_int "reset to base" 5_000 (Ofp.next_interval ~ic:0 p ~waiter_gap:0)
 
 let test_ofp_targets_waiter () =
   let p = Ofp.create (Ofp.Adaptive { base = 5_000; cap = 40_000 }) in
   Ofp.begin_chunk p;
-  check_int "exact gap" 123 (Ofp.next_interval p ~waiter_gap:123)
+  check_int "exact gap" 123 (Ofp.next_interval ~ic:0 p ~waiter_gap:123)
 
 let test_ofp_nonpositive_gap_falls_back () =
   let p = Ofp.create (Ofp.Adaptive { base = 5_000; cap = 40_000 }) in
   Ofp.begin_chunk p;
-  check_int "ignores stale gap" 5_000 (Ofp.next_interval p ~waiter_gap:0)
+  check_int "ignores stale gap" 5_000 (Ofp.next_interval ~ic:0 p ~waiter_gap:0)
 
 let test_ofp_fixed () =
   let p = Ofp.create (Ofp.Fixed 1_000) in
   Ofp.begin_chunk p;
-  check_int "fixed" 1_000 (Ofp.next_interval p ~waiter_gap:0);
-  check_int "fixed despite gap" 1_000 (Ofp.next_interval p ~waiter_gap:5);
+  check_int "fixed" 1_000 (Ofp.next_interval ~ic:0 p ~waiter_gap:0);
+  check_int "fixed despite gap" 1_000 (Ofp.next_interval ~ic:0 p ~waiter_gap:5);
   check_int "count" 2 (Ofp.overflows_scheduled p)
 
 let test_ofp_default_base () = check_int "paper value" 5_000 Ofp.default_base
@@ -462,7 +462,7 @@ let prop_ofp_always_positive =
     (fun (base, gaps) ->
       let p = Ofp.create (Ofp.Adaptive { base; cap = 40_000 }) in
       Ofp.begin_chunk p;
-      List.for_all (fun gap -> Ofp.next_interval p ~waiter_gap:gap >= 1) gaps)
+      List.for_all (fun gap -> Ofp.next_interval ~ic:0 p ~waiter_gap:gap >= 1) gaps)
 
 let () =
   Alcotest.run "detclock"

@@ -285,11 +285,6 @@ let prop_fold_region_matches_serial =
              | None -> naive_store.(k) = store.(k))
            (List.init Kv.Layout.n_keys Fun.id))
 
-let minor_words_during f =
-  let before = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. before
-
 let test_fold_region_allocates_nothing () =
   let w key = { Kv.Intent.key; start = key; start_ver = 1 } in
   let region =
@@ -311,7 +306,9 @@ let test_fold_region_allocates_nothing () =
     ignore (Kv.Validate.fold_region o ~tid:0 ~sums region)
   in
   Alcotest.(check (float 0.0))
-    "minor words of a warmed call" (minor_words_during ignore) (minor_words_during step)
+    "minor words of a warmed call"
+    (Alloc_probe.minor_words_during ignore)
+    (Alloc_probe.minor_words_during step)
 
 let test_fold_region_rejects_oversized_batch () =
   (* The re-executions are an int bitmask and the read sums go to the
@@ -591,6 +588,27 @@ let test_traffic_generation_deterministic () =
         [ 0; 3 ])
     shapes
 
+(* The status and intent regions hold [Layout.max_threads] slots.  A
+   larger thread count is refused before the run starts, on every
+   runtime, with a message naming the limit; it is never clamped. *)
+let test_refuses_more_threads_than_layout () =
+  let limit = Kv.Layout.max_threads in
+  let program = Kv.Service.workload Kv.Traffic.Zipf in
+  check_int "declared limit" limit program.Api.max_threads;
+  let expected =
+    Printf.sprintf "kv_zipf supports at most %d threads; %d requested" limit (limit + 1)
+  in
+  (match Api.check_threads program (limit + 1) with
+  | Error msg -> check_string "check_threads" expected msg
+  | Ok () -> Alcotest.fail "check_threads accepted too many threads");
+  check_bool "limit accepted" true (Api.check_threads program limit = Ok ());
+  check_bool "zero refused" true (Result.is_error (Api.check_threads program 0));
+  List.iter
+    (fun rt ->
+      Alcotest.check_raises (R.name rt) (Invalid_argument expected) (fun () ->
+          ignore (R.run rt ~nthreads:(limit + 1) program)))
+    [ R.pthreads; R.dthreads; R.consequence_ic ]
+
 let () =
   Alcotest.run "kv"
     [
@@ -638,5 +656,7 @@ let () =
             test_latency_histogram_counts_requests;
           Alcotest.test_case "traffic generation deterministic" `Quick
             test_traffic_generation_deterministic;
+          Alcotest.test_case "refuses too many threads" `Quick
+            test_refuses_more_threads_than_layout;
         ] );
     ]

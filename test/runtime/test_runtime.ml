@@ -1032,6 +1032,57 @@ let test_domains_witness_identity_quick () =
         (domains_witness ~domains:2 ~seed:1 program))
     [ "histogram"; "string_match"; "swaptions" ]
 
+(* --- Allocation ------------------------------------------------------- *)
+
+(* [Cost_model.work_ns] at two seeds, captured before the jitter draw
+   moved inside [Sim.Prng]: every simulated chunk time goes through it. *)
+let test_work_ns_stream_pin () =
+  let sizes = [ 0; 1; 7; 100; 12_345; 1_000_000 ] in
+  List.iter
+    (fun (seed, expect) ->
+      let p = Sim.Prng.create ~seed in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d" seed)
+        expect
+        (List.map (Runtime.Cost_model.work_ns Runtime.Cost_model.default p) sizes))
+    [ (1, [ 0; 1; 3; 57; 6_069; 491_639 ]); (42, [ 0; 1; 3; 46; 5_883; 430_704 ]) ]
+
+let test_work_ns_allocates_nothing () =
+  let p = Sim.Prng.create ~seed:5 and costs = Runtime.Cost_model.default in
+  Alcotest.(check (float 0.0))
+    "minor words" 0.0
+    (Alloc_probe.words_beyond_probe (fun () ->
+         for n = 1 to 10_000 do
+           ignore (Sys.opaque_identity (Runtime.Cost_model.work_ns costs p n))
+         done))
+
+(* Words a whole run allocates per extra lock/unlock pair: two run
+   lengths of [locked_counter] are compared, so set-up cancels out and
+   engine, vmem and runtime allocations all count. *)
+let words_per_lock_pair rt =
+  let words iters =
+    Gc.full_major ();
+    Alloc_probe.words_beyond_probe (fun () ->
+        ignore (R.run rt ~seed:1 ~nthreads:4 (locked_counter ~iters)))
+  in
+  let w1 = words 250 and w2 = words 500 in
+  (w2 -. w1) /. float_of_int (4 * 250)
+
+(* Consequence-IC coarsens this loop into a handful of commits, so a
+   lock/unlock pair costs (almost) only the sync-op path itself, which
+   allocates nothing.  Pthreads allocates only the engine's
+   continuations of its lock waits.  DThreads commits and meets at the
+   fence on every op; what it allocates is the engine's continuations and
+   the commit's arrays, records and page copies. *)
+let test_lock_pair_allocation () =
+  List.iter
+    (fun (rt, bound) ->
+      let words = words_per_lock_pair rt in
+      check_bool
+        (Printf.sprintf "%s: %.1f words per pair" (R.name rt) words)
+        true (words < bound))
+    [ (R.consequence_ic, 1.0); (R.pthreads, 10.0); (R.dthreads, 130.0) ]
+
 let () =
   Alcotest.run "runtime"
     [
@@ -1109,6 +1160,12 @@ let () =
           Alcotest.test_case "Run.names covers every preset" `Quick
             test_run_names_cover_presets;
           Alcotest.test_case "tuned witness matrix" `Quick test_tuned_witness_matrix;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "work_ns stream pin" `Quick test_work_ns_stream_pin;
+          Alcotest.test_case "work_ns allocates nothing" `Quick test_work_ns_allocates_nothing;
+          Alcotest.test_case "lock pair allocation" `Quick test_lock_pair_allocation;
         ] );
       ( "domains",
         [

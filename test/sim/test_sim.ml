@@ -393,6 +393,26 @@ let test_trace_record_allocates_nothing () =
   check_int "minor words" 0 (int_of_float (w1 -. w0));
   check_int "counted" 100_000 (Sim.Trace.length t)
 
+(* [record_int] folds exactly the bytes of [label ^ string_of_int n],
+   for every sign and width, and allocates nothing. *)
+let test_trace_record_int () =
+  let a = Sim.Trace.create () and b = Sim.Trace.create () in
+  let ns = [ 0; 7; 10; 99; 100; 12_345; -1; -10; -987; max_int; min_int ] in
+  List.iteri
+    (fun i n ->
+      Sim.Trace.record a ~time:i ~tid:(i land 3) ~label:("commit:" ^ string_of_int n);
+      Sim.Trace.record_int b ~time:i ~tid:(i land 3) ~label:"commit:" n)
+    ns;
+  check_string "hash" (Sim.Trace.hash a) (Sim.Trace.hash b);
+  check_string "timed hash" (Sim.Trace.timed_hash a) (Sim.Trace.timed_hash b);
+  let words =
+    Alloc_probe.words_beyond_probe (fun () ->
+        for i = 1 to 10_000 do
+          Sim.Trace.record_int b ~time:i ~tid:1 ~label:"commit:" (i * 7919)
+        done)
+  in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words
+
 let test_trace_order_sensitivity () =
   let t1 = Sim.Trace.create () and t2 = Sim.Trace.create () in
   Sim.Trace.record t1 ~time:0 ~tid:0 ~label:"a";
@@ -441,6 +461,91 @@ let test_pool_back_to_back_exactly_once () =
           hits
       done)
 
+(* First outputs at two seeds, captured before the state went unboxed: a
+   change to the SplitMix64 step, the output mix or any draw's
+   arithmetic shows up here. *)
+let test_prng_stream_pin () =
+  let pin seed ~raw ~ints ~floats ~jitters ~child ~after =
+    let p = Sim.Prng.create ~seed in
+    let hex = Printf.sprintf "%Lx" and exact = Printf.sprintf "%h" in
+    let next () = hex (Sim.Prng.next_int64 p) in
+    Alcotest.(check (list string)) "next_int64" raw (List.init 3 (fun _ -> next ()));
+    Alcotest.(check (list int)) "int" ints (List.init 4 (fun _ -> Sim.Prng.int p ~bound:1000));
+    Alcotest.(check (list string)) "float" floats
+      (List.init 3 (fun _ -> exact (Sim.Prng.float p)));
+    Alcotest.(check (list string)) "jitter" jitters
+      (List.init 3 (fun _ -> exact (Sim.Prng.jitter p ~amplitude:0.15)));
+    let c = Sim.Prng.split p in
+    Alcotest.(check (list string)) "split child" child
+      (List.init 2 (fun _ -> hex (Sim.Prng.next_int64 c)));
+    check_string "parent after split" after (next ())
+  in
+  pin 1
+    ~raw:[ "910a2dec89025cc1"; "beeb8da1658eec67"; "f893a2eefb32555e" ]
+    ~ints:[ 331; 857; 336; 333 ]
+    ~floats:[ "0x1.0bcf761e244fp-1"; "0x1.245c6378d5f8ep-2"; "0x1.9686b91ce8c2cp-1" ]
+    ~jitters:[ "0x1.f146b77a9a66fp-1"; "0x1.0818a6171fd7ep+0"; "0x1.f914161fc6ffdp-1" ]
+    ~child:[ "10b298b9172e6c76"; "190064963f813157" ]
+    ~after:"6f9b6dae6f4c57a8";
+  pin 42
+    ~raw:[ "bdd732262feb6e95"; "28efe333b266f103"; "47526757130f9f52" ]
+    ~ints:[ 860; 250; 350; 925 ]
+    ~floats:[ "0x1.99ec6bdd3d3c5p-1"; "0x1.5c16e1dc2cf5ep-2"; "0x1.3ca9ae7052feep-1" ]
+    ~jitters:[ "0x1.d2ac44931469ep-1"; "0x1.feec52d55ca7p-1"; "0x1.010760dc72f91p+0" ]
+    ~child:[ "cf970be8c71845af"; "d270b3f6224f20ab" ]
+    ~after:"aa47e31c02e78edc"
+
+let test_prng_jittered_matches_jitter () =
+  let a = Sim.Prng.create ~seed:9 and b = Sim.Prng.create ~seed:9 in
+  List.iter
+    (fun n ->
+      check_int
+        (Printf.sprintf "n=%d" n)
+        (int_of_float (float_of_int n *. 0.5 *. Sim.Prng.jitter a ~amplitude:0.15))
+        (Sim.Prng.jittered b ~amplitude:0.15 ~scale:0.5 n))
+    [ 0; 1; 7; 100; 12_345; 1_000_000; max_int / 4 ]
+
+(* The state is unboxed: [int] and [jittered] allocate nothing, and
+   [float] allocates only the 2-word box of its result. *)
+let test_prng_draws_allocate_nothing () =
+  let p = Sim.Prng.create ~seed:3 in
+  let draws = 10_000 in
+  let words f = Alloc_probe.words_beyond_probe (fun () -> for _ = 1 to draws do f () done) in
+  Alcotest.(check (float 0.0)) "int" 0.0 (words (fun () -> ignore (Sim.Prng.int p ~bound:1000)));
+  Alcotest.(check (float 0.0))
+    "jittered" 0.0
+    (words (fun () -> ignore (Sim.Prng.jittered p ~amplitude:0.15 ~scale:0.5 1234)));
+  Alcotest.(check (float 0.0))
+    "float: its result only" (float_of_int (2 * draws))
+    (words (fun () -> ignore (Sys.opaque_identity (Sim.Prng.float p))))
+
+(* An effect round trip captures a continuation (2 words) and parks it
+   on the fiber; nothing else on the dispatch path allocates.  Two run
+   lengths are compared so the fibers' one-off set-up cancels out. *)
+let test_engine_dispatch_allocation_bounded () =
+  let run rounds =
+    let eng = Sim.Engine.create ~seed:1 () in
+    let a = ref 0 and b = ref 0 in
+    let pingpong other () =
+      for _ = 1 to rounds do
+        Sim.Engine.wakeup eng !other;
+        Sim.Engine.block eng ~reason:"ping";
+        (* Both fibers are due at the same instant, so this Advance goes
+           through the queue instead of the solo fast path. *)
+        Sim.Engine.advance eng 10
+      done;
+      Sim.Engine.wakeup eng !other
+    in
+    a := Sim.Engine.spawn eng (pingpong b);
+    b := Sim.Engine.spawn eng (pingpong a);
+    let words = Alloc_probe.words_beyond_probe (fun () -> Sim.Engine.run eng) in
+    (words, Sim.Engine.dispatches eng)
+  in
+  let w1, d1 = run 2_000 and w2, d2 = run 4_000 in
+  check_bool "dispatched every round" true (d2 - d1 >= 4 * 2_000);
+  let per_dispatch = (w2 -. w1) /. float_of_int (d2 - d1) in
+  check_bool (Printf.sprintf "%.2f words per dispatch" per_dispatch) true (per_dispatch <= 2.0)
+
 let test_pool_exception_drains_and_reraises () =
   let p = Sim.Par.create_pool ~workers:2 () in
   Fun.protect
@@ -474,6 +579,9 @@ let () =
           Alcotest.test_case "copy preserves state" `Quick test_prng_copy_preserves_state;
           Alcotest.test_case "exponential positive" `Quick test_prng_exponential_positive;
           Alcotest.test_case "shuffle is permutation" `Quick test_prng_shuffle_permutation;
+          Alcotest.test_case "stream pin" `Quick test_prng_stream_pin;
+          Alcotest.test_case "jittered matches jitter" `Quick test_prng_jittered_matches_jitter;
+          Alcotest.test_case "draws allocate nothing" `Quick test_prng_draws_allocate_nothing;
         ] );
       ( "heap",
         [
@@ -503,6 +611,8 @@ let () =
           Alcotest.test_case "names" `Quick test_engine_names;
           Alcotest.test_case "deterministic interleaving" `Quick test_engine_deterministic_interleaving;
           Alcotest.test_case "zero advance yields" `Quick test_engine_zero_advance_yields;
+          Alcotest.test_case "dispatch allocation bounded" `Quick
+            test_engine_dispatch_allocation_bounded;
         ] );
       ( "pool",
         [
@@ -520,6 +630,7 @@ let () =
           Alcotest.test_case "trace hash compat" `Quick test_trace_hash_compat;
           Alcotest.test_case "trace record allocates nothing" `Quick
             test_trace_record_allocates_nothing;
+          Alcotest.test_case "trace record_int" `Quick test_trace_record_int;
           Alcotest.test_case "trace order sensitivity" `Quick test_trace_order_sensitivity;
         ] );
     ]

@@ -77,8 +77,8 @@ let test_segment_initial_state () =
 
 let test_segment_commit_creates_versions () =
   let seg = make_segment () in
-  let v1 = Vmem.Segment.commit seg ~committer:0 ~pages:[ (1, mk_page seg "one") ] in
-  let v2 = Vmem.Segment.commit seg ~committer:1 ~pages:[ (2, mk_page seg "two") ] in
+  let v1 = Vmem.Segment.commit seg ~committer:0 ~idxs:[| 1 |] ~pages:[| mk_page seg "one" |] in
+  let v2 = Vmem.Segment.commit seg ~committer:1 ~idxs:[| 2 |] ~pages:[| mk_page seg "two" |] in
   check_int "v1" 1 v1;
   check_int "v2" 2 v2;
   check_int "current" 2 (Vmem.Segment.current_version seg);
@@ -87,8 +87,8 @@ let test_segment_commit_creates_versions () =
 
 let test_segment_historical_reads () =
   let seg = make_segment () in
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (0, mk_page seg "AAA") ]);
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (0, mk_page seg "BBB") ]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 0 |] ~pages:[| mk_page seg "AAA" |]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 0 |] ~pages:[| mk_page seg "BBB" |]);
   check_bool "v0 sees zero" true (String.for_all (( = ) '\000') (page_str seg ~version:0 0));
   check_bool "v1 sees AAA" true (String.length (page_str seg ~version:1 0) = 16
                                  && String.sub (page_str seg ~version:1 0) 0 3 = "AAA");
@@ -96,8 +96,8 @@ let test_segment_historical_reads () =
 
 let test_segment_last_mod () =
   let seg = make_segment () in
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (4, mk_page seg "x") ]);
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (5, mk_page seg "y") ]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 4 |] ~pages:[| mk_page seg "x" |]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 5 |] ~pages:[| mk_page seg "y" |]);
   check_int "page 4 at v1" 1 (Vmem.Segment.last_mod seg 4);
   check_int "page 5 at v2" 2 (Vmem.Segment.last_mod seg 5);
   check_int "page 6 never" 0 (Vmem.Segment.last_mod seg 6)
@@ -108,7 +108,7 @@ let test_segment_duplicate_page_in_commit () =
     try
       ignore
         (Vmem.Segment.commit seg ~committer:0
-           ~pages:[ (1, mk_page seg "a"); (1, mk_page seg "b") ]);
+           ~idxs:[| 1; 1 |] ~pages:[| mk_page seg "a"; mk_page seg "b" |]);
       false
     with Invalid_argument _ -> true
   in
@@ -116,9 +116,11 @@ let test_segment_duplicate_page_in_commit () =
 
 let test_segment_modified_since () =
   let seg = make_segment () in
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (1, mk_page seg "a") ]);
-  ignore (Vmem.Segment.commit seg ~committer:1 ~pages:[ (2, mk_page seg "b"); (3, mk_page seg "c") ]);
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (1, mk_page seg "d") ]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 1 |] ~pages:[| mk_page seg "a" |]);
+  ignore
+    (Vmem.Segment.commit seg ~committer:1 ~idxs:[| 2; 3 |]
+       ~pages:[| mk_page seg "b"; mk_page seg "c" |]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 1 |] ~pages:[| mk_page seg "d" |]);
   Alcotest.(check (list int)) "since 0" [ 1; 2; 3 ] (Vmem.Segment.modified_since seg ~since:0);
   Alcotest.(check (list int)) "since 1" [ 1; 2; 3 ] (Vmem.Segment.modified_since seg ~since:1);
   Alcotest.(check (list int)) "since 2" [ 1 ] (Vmem.Segment.modified_since seg ~since:2);
@@ -126,8 +128,8 @@ let test_segment_modified_since () =
 
 let test_segment_modified_by_others () =
   let seg = make_segment () in
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (1, mk_page seg "a") ]);
-  ignore (Vmem.Segment.commit seg ~committer:1 ~pages:[ (2, mk_page seg "b") ]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 1 |] ~pages:[| mk_page seg "a" |]);
+  ignore (Vmem.Segment.commit seg ~committer:1 ~idxs:[| 2 |] ~pages:[| mk_page seg "b" |]);
   check_int "tid 0 sees only tid 1's page" 1
     (Vmem.Segment.modified_since_by_others seg ~since:0 ~tid:0);
   check_int "tid 1 sees only tid 0's page" 1
@@ -136,9 +138,9 @@ let test_segment_modified_by_others () =
 
 let test_segment_gc_reclaims_obsolete () =
   let seg = make_segment () in
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (0, mk_page seg "v1") ]);
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (0, mk_page seg "v2") ]);
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (0, mk_page seg "v3") ]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 0 |] ~pages:[| mk_page seg "v1" |]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 0 |] ~pages:[| mk_page seg "v2" |]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 0 |] ~pages:[| mk_page seg "v3" |]);
   check_int "3 snapshots live" 3 (Vmem.Segment.live_snapshots seg);
   (* Everyone is at version >= 2: the v1 snapshot is obsolete, v2 must stay
      (it is the newest <= min_base), v3 stays. *)
@@ -153,7 +155,7 @@ let test_segment_gc_budget () =
   for _ = 1 to 5 do
     ignore
       (Vmem.Segment.commit seg ~committer:0
-         ~pages:[ (0, mk_page seg "x"); (1, mk_page seg "y") ])
+         ~idxs:[| 0; 1 |] ~pages:[| mk_page seg "x"; mk_page seg "y" |])
   done;
   check_int "10 snapshots" 10 (Vmem.Segment.live_snapshots seg);
   (* At min_base 5 only the newest snapshot of each page is needed: 8 are
@@ -169,13 +171,13 @@ let test_segment_gc_budget () =
 let test_segment_hash_changes () =
   let seg = make_segment () in
   let h0 = Vmem.Segment.hash seg in
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (0, mk_page seg "zz") ]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 0 |] ~pages:[| mk_page seg "zz" |]);
   check_bool "hash changed" false (h0 = Vmem.Segment.hash seg)
 
 let test_segment_hash_stable_under_gc () =
   let seg = make_segment () in
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (0, mk_page seg "a") ]);
-  ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (0, mk_page seg "b") ]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 0 |] ~pages:[| mk_page seg "a" |]);
+  ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| 0 |] ~pages:[| mk_page seg "b" |]);
   let h = Vmem.Segment.hash seg in
   ignore (Vmem.Segment.gc seg ~min_base:2 ~budget:100);
   check_bytes "gc does not change current image" h (Vmem.Segment.hash seg)
@@ -207,15 +209,17 @@ let test_segment_shard_ranges () =
 let apply_commits seg commits =
   List.iteri
     (fun i pages ->
+      let idxs = Array.of_list (List.map fst pages) in
       let pages =
-        List.map
-          (fun (pg, c) ->
-            let p = Vmem.Page.create ~size:(Vmem.Segment.page_size seg) in
-            Bytes.fill p 0 (Bytes.length p) c;
-            (pg, p))
-          pages
+        Array.of_list
+          (List.map
+             (fun (_, c) ->
+               let p = Vmem.Page.create ~size:(Vmem.Segment.page_size seg) in
+               Bytes.fill p 0 (Bytes.length p) c;
+               p)
+             pages)
       in
-      ignore (Vmem.Segment.commit seg ~committer:(i mod 4) ~pages))
+      ignore (Vmem.Segment.commit seg ~committer:(i mod 4) ~idxs ~pages))
     commits
 
 let segments_equal ?(from_version = 0) sa sb =
@@ -280,7 +284,8 @@ let test_segment_gc_step_bound () =
   for _ = 1 to 5 do
     ignore
       (Vmem.Segment.commit seg ~committer:0
-         ~pages:(List.init 8 (fun pg -> (pg, mk_page seg "x"))))
+         ~idxs:(Array.init 8 Fun.id)
+         ~pages:(Array.init 8 (fun _ -> mk_page seg "x")))
   done;
   let min_base = Vmem.Segment.current_version seg in
   (* max_pages bounds pages *scanned*, and each page holds 4 obsolete
@@ -288,6 +293,57 @@ let test_segment_gc_step_bound () =
   let r = Vmem.Segment.gc_step seg ~min_base ~max_pages:1 in
   check_bool "per-step work bounded" true (r <= 4);
   check_bool "made progress" true (r > 0)
+
+(* A resident page is a page-table load away: reads of it, writes to it
+   once dirty, and [read_into] allocate nothing; so do reads of a page
+   the thread never touched (straight from the segment snapshot). *)
+let test_ws_resident_access_allocates_nothing () =
+  let seg = make_segment ~pages:64 ~page_size:64 () in
+  let ws = Vmem.Workspace.create seg ~tid:0 in
+  (* Page 40 sits in the table's second leaf. *)
+  let addr = (40 * 64) + 8 and untouched = 50 * 64 in
+  Vmem.Workspace.write_int ws ~addr 1;
+  let buf = Bytes.create 16 in
+  let check what f =
+    Alcotest.(check (float 0.0)) what 0.0
+      (Alloc_probe.words_beyond_probe (fun () ->
+           for i = 1 to 1_000 do
+             f i
+           done))
+  in
+  check "dirty page" (fun i ->
+      Vmem.Workspace.write_int ws ~addr (Vmem.Workspace.read_int ws ~addr + i);
+      Vmem.Workspace.read_into ws ~addr buf);
+  ignore (Vmem.Workspace.commit ws);
+  check "clean resident page" (fun _ ->
+      ignore (Sys.opaque_identity (Vmem.Workspace.read_int ws ~addr));
+      Vmem.Workspace.read_into ws ~addr buf);
+  check "untouched page" (fun _ ->
+      ignore (Sys.opaque_identity (Vmem.Workspace.read_int ws ~addr:untouched));
+      Vmem.Workspace.read_into ws ~addr:untouched buf);
+  check_int "value" (1 + (1_000 * 1_001 / 2)) (Vmem.Workspace.read_int ws ~addr)
+
+(* An update that finds no stale resident walks the resident pages and
+   the version log in plain loops: it allocates only its 5-word result. *)
+let test_ws_update_allocates_only_result () =
+  let seg = make_segment ~pages:64 ~page_size:64 () in
+  let a = Vmem.Workspace.create seg ~tid:0 and b = Vmem.Workspace.create seg ~tid:1 in
+  for pg = 0 to 9 do
+    Vmem.Workspace.write_int a ~addr:(pg * 64) pg
+  done;
+  ignore (Vmem.Workspace.commit a);
+  ignore (Vmem.Workspace.update a);
+  Vmem.Workspace.write_int b ~addr:(50 * 64) 7;
+  ignore (Vmem.Workspace.commit b);
+  let result = ref None in
+  let words =
+    Alloc_probe.words_beyond_probe (fun () -> result := Some (Vmem.Workspace.update a))
+  in
+  let ui = Option.get !result in
+  check_int "propagated" 1 ui.Vmem.Workspace.pages_propagated;
+  check_int "refreshed" 0 ui.Vmem.Workspace.pages_refreshed;
+  (* 5 words for the record and 2 for the test's own [Some]. *)
+  Alcotest.(check (float 0.0)) "minor words" 7.0 words
 
 let test_ws_seal_install_equals_commit () =
   (* Two-phase seal/install must be observably identical to the fused
@@ -662,6 +718,52 @@ let prop_workspace_gc_interplay =
       ignore (Vmem.Workspace.update reader);
       Vmem.Workspace.read reader ~addr:0 ~len:128 = model)
 
+let prop_page_table_spans_leaves =
+  (* The per-thread page table is two-level (32-page leaves); write
+     pages in any order across many leaves and check the committed page
+     list (sorted from the dirty stack), the resident count and every
+     view against flat models.  Writers own disjoint bytes of each page,
+     so the committed image does not depend on the commit order. *)
+  QCheck.Test.make ~name:"page table across leaves" ~count:100
+    QCheck.(list_of_size (Gen.int_range 1 40) (pair (int_bound 1) (pair (int_bound 199) bool)))
+    (fun ops ->
+      let pages = 200 and page_size = 8 in
+      let seg = Vmem.Segment.create ~pages ~page_size () in
+      let w = [| Vmem.Workspace.create seg ~tid:0; Vmem.Workspace.create seg ~tid:1 |] in
+      let model = Bytes.make (pages * page_size) '\000' in
+      let pending = [| []; [] |] and touched = [| []; [] |] in
+      let ok = ref true in
+      let commit who =
+        let ci = Vmem.Workspace.commit w.(who) in
+        let expect = List.sort_uniq compare pending.(who) in
+        if Array.to_list ci.Vmem.Workspace.committed_pages <> expect then ok := false;
+        pending.(who) <- [];
+        ignore (Vmem.Workspace.update w.(who))
+      in
+      List.iteri
+        (fun i (who, (pg, sync)) ->
+          let addr = (pg * page_size) + (who * 4) in
+          let v = Bytes.make 4 (Char.chr (i land 0xff)) in
+          Vmem.Workspace.write w.(who) ~addr v;
+          Bytes.blit v 0 model addr 4;
+          pending.(who) <- pg :: pending.(who);
+          touched.(who) <- pg :: touched.(who);
+          if sync then commit who)
+        ops;
+      commit 0;
+      commit 1;
+      commit 0;
+      let reader = Vmem.Workspace.create seg ~tid:2 in
+      ignore (Vmem.Workspace.update reader);
+      !ok
+      && Array.for_all2
+           (fun ws t ->
+             Vmem.Workspace.resident_pages ws = List.length (List.sort_uniq compare t))
+           w touched
+      && Array.for_all
+           (fun ws -> Vmem.Workspace.read ws ~addr:0 ~len:(pages * page_size) = model)
+           [| w.(0); w.(1); reader |])
+
 let prop_gc_never_affects_readers_at_min_base =
   QCheck.Test.make ~name:"gc preserves all reads at versions >= min_base" ~count:50
     QCheck.(list_of_size (Gen.int_range 1 10) (pair (int_bound 3) (int_bound 255)))
@@ -671,7 +773,7 @@ let prop_gc_never_affects_readers_at_min_base =
         (fun (pg, byte) ->
           let p = Vmem.Page.create ~size:4 in
           Bytes.fill p 0 4 (Char.chr byte);
-          ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (pg, p) ]))
+          ignore (Vmem.Segment.commit seg ~committer:0 ~idxs:[| pg |] ~pages:[| p |]))
         commits;
       let vmax = Vmem.Segment.current_version seg in
       let min_base = max 0 (vmax - 2) in
@@ -947,11 +1049,6 @@ let test_segment_gc_model_sharded () =
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg
 
-let minor_words_during f =
-  let before = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. before
-
 let test_segment_gc_allocates_nothing () =
   let seg = Vmem.Segment.create ~pages:256 ~page_size:8 () in
   let history () =
@@ -967,12 +1064,12 @@ let test_segment_gc_allocates_nothing () =
   collect max_int ();
   history ();
   let budgeted = collect 5 and unbounded = collect max_int in
-  let baseline = minor_words_during ignore in
-  let words = minor_words_during budgeted in
+  let baseline = Alloc_probe.minor_words_during ignore in
+  let words = Alloc_probe.minor_words_during budgeted in
   (* Each page now drops 3, so a budget of 5 finishes the second page. *)
   check_int "budgeted gc collects whole pages" 6 !reclaimed;
   Alcotest.(check (float 0.0)) "budgeted gc" baseline words;
-  let words = minor_words_during unbounded in
+  let words = Alloc_probe.minor_words_during unbounded in
   check_int "unbounded gc reclaims the rest" ((64 * 3) - 6) !reclaimed;
   Alcotest.(check (float 0.0)) "unbounded gc" baseline words
 
@@ -1042,6 +1139,10 @@ let () =
           Alcotest.test_case "out of range" `Quick test_ws_out_of_range;
           Alcotest.test_case "drop residents" `Quick test_ws_drop_residents;
           Alcotest.test_case "reads don't fault" `Quick test_ws_read_does_not_fault;
+          Alcotest.test_case "resident access allocates nothing" `Quick
+            test_ws_resident_access_allocates_nothing;
+          Alcotest.test_case "update allocates only its result" `Quick
+            test_ws_update_allocates_only_result;
         ] );
       ( "properties",
         [
@@ -1051,6 +1152,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_gc_never_affects_readers_at_min_base;
           QCheck_alcotest.to_alcotest prop_gc_matches_full_scan_model;
           QCheck_alcotest.to_alcotest prop_workspace_gc_interplay;
+          QCheck_alcotest.to_alcotest prop_page_table_spans_leaves;
           QCheck_alcotest.to_alcotest prop_sharded_commit_matches_serial;
           QCheck_alcotest.to_alcotest prop_seal_install_equals_commit;
           QCheck_alcotest.to_alcotest prop_word_diff_matches_byte_oracle;
